@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke bench-store bench-quant run-experiment serve-smoke fleet-smoke lab-smoke robustness-smoke fmt fmt-check vet godoc-check check
+.PHONY: all build test race bench bench-smoke nbhdbench-smoke bench-store bench-quant run-experiment serve-smoke fleet-smoke lab-smoke robustness-smoke fmt fmt-check vet godoc-check check
 
 all: build
 
@@ -25,11 +25,20 @@ bench:
 # Short-form benchmark smoke for CI: proves the harness runs and gives a
 # perf trajectory point without the full sweep's cost. Includes the HTTP
 # backend sweep against an in-process llmserve (remote evaluation path)
-# and the compute-layer microbenchmarks (batched GEMM convolution and the
-# zero-allocation training step), with -benchmem so allocation regressions
-# in the pooled hot path are visible in CI artifacts.
+# and the compute-layer microbenchmarks (batched GEMM convolution, the
+# fused inference conv block and the zero-allocation training step),
+# with -benchmem so allocation regressions in the pooled hot path are
+# visible in CI artifacts.
 bench-smoke:
-	$(GO) test -run=NONE -bench='MatMul128|HTTPBackend_Sweep|ConvForward|ConvBackward|TrainEpoch|DetectorForward|PredictBatch|Nearest|WarmStart|DegradationOps' -benchtime=1x -benchmem
+	$(GO) test -run=NONE -bench='MatMul128|HTTPBackend_Sweep|ConvForward|ConvBackward|ConvBlockInfer|TrainEpoch|DetectorForward|PredictBatch|Nearest|WarmStart|DegradationOps' -benchtime=1x -benchmem
+
+# The repository benchmark (nbhdbench/) is its own Go module, so the
+# root `go test ./...` never reaches it. This runs its helper tests and
+# one short survey run; the run checks every answer against a direct
+# Classify and exits non-zero on any wrong one.
+nbhdbench-smoke:
+	cd nbhdbench && $(GO) test ./...
+	bash nbhdbench/run.sh --workload survey --seed 1 --seconds 10 --trace 0
 
 # Spatial-layer benchmarks on their own: the geo index vs the linear
 # scan it replaced, and warm-start store serving vs cold rendering.

@@ -735,6 +735,64 @@ func BenchmarkConvBackward(b *testing.B) {
 	}
 }
 
+// BenchmarkConvBlockInfer is the layer row for the fused inference
+// convolution: one conv→LeakyReLU→2x2 MaxPool block (the CNN's first,
+// 3->8 channels at 64x64) and the whole default CNN stack (channels
+// 8/16/32, 64 px, linear head), each through Sequential.Infer at batch
+// 1, 4 and 16. ns/item divides the per-call time by the batch.
+func BenchmarkConvBlockInfer(b *testing.B) {
+	const size = 64
+	rng := rand.New(rand.NewSource(benchSeed))
+	block := func(in, out int) []nn.Layer {
+		conv, err := nn.NewConv2D(in, out, 3, 1, 1, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		relu, err := nn.NewLeakyReLU(0.1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pool, err := nn.NewMaxPool2D(2, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return []nn.Layer{conv, relu, pool}
+	}
+	var cnnLayers []nn.Layer
+	in := render.Channels
+	for _, out := range []int{8, 16, 32} {
+		cnnLayers = append(cnnLayers, block(in, out)...)
+		in = out
+	}
+	head, err := nn.NewLinear(in*(size/8)*(size/8), scene.NumIndicators, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nets := []struct {
+		name string
+		net  *nn.Sequential
+	}{
+		{"block", nn.NewSequential(block(render.Channels, 8)...)},
+		{"cnn", nn.NewSequential(append(cnnLayers, head)...)},
+	}
+	for _, tc := range nets {
+		for _, batch := range []int{1, 4, 16} {
+			x := tensor.MustNew(batch, render.Channels, size, size)
+			x.UniformInit(1, rng)
+			b.Run(fmt.Sprintf("%s/b%d", tc.name, batch), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					out, err := tc.net.Infer(x)
+					if err != nil {
+						b.Fatal(err)
+					}
+					tensor.PutScratch(out)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/item")
+			})
+		}
+	}
+}
+
 // BenchmarkTrainEpoch measures one full detector training epoch (70% of
 // 100 frames at 48px, batch 16) on a persistent model — the steady-state
 // per-epoch cost of the Table I/Fig. 5 benchmarks. Run with -benchmem:

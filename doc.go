@@ -49,10 +49,11 @@
 //
 // Beneath the detector sits the fast NN compute layer
 // (internal/tensor + internal/nn): register-blocked parallel GEMM
-// kernels, batched im2col convolution (one GEMM per batch), a size-keyed
-// scratch pool that makes steady-state training steps allocation-free,
-// and a stateless Infer path that lets the engine run detector/CNN
-// inference concurrently. Kernel partitioning preserves per-element
+// kernels, batched im2col convolution for training (one GEMM per batch),
+// a size-keyed scratch pool that makes steady-state training steps
+// allocation-free, and a stateless Infer path — sample-tiled convolution
+// fused with its activation and pooling — that lets the engine run
+// detector/CNN inference concurrently. Kernel partitioning preserves per-element
 // accumulation order, so training curves and every reported metric are
 // bit-identical to the reference implementation (see README.md's
 // performance section and the golden-curve tests).

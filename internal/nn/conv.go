@@ -3,17 +3,20 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"nbhd/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over NCHW tensors, implemented with
-// batched im2col: the whole batch unrolls into ONE (Cin*K*K, N*outH*outW)
-// matrix and the forward pass is a single GEMM against the weight matrix,
-// instead of N small per-sample multiplies. im2col, col2im, and the
-// output scatter fan across workers per sample; all scratch comes from
-// the shared tensor pool and is released when Backward completes, so
-// nothing im2col-sized survives the training step.
+// Conv2D is a 2-D convolution over NCHW tensors. Training (Forward and
+// Backward) uses batched im2col: the whole batch unrolls into ONE
+// (Cin*K*K, N*outH*outW) matrix and the forward pass is a single GEMM
+// against the weight matrix, instead of N small per-sample multiplies.
+// im2col, col2im, and the output scatter fan across workers per sample;
+// all scratch comes from the shared tensor pool and is released when
+// Backward completes, so nothing im2col-sized survives the training
+// step. Inference (Infer, and Sequential.Infer through inferBlock) is
+// sample-tiled and fused instead; see inferTiled.
 //
 // Bit-identity: each output element's dot product walks the Cin*K*K
 // (forward) or OutChannels (input-gradient) axis in the same order as the
@@ -39,8 +42,8 @@ type Conv2D struct {
 	outH, outW    int
 }
 
-// convDims carries one pass's geometry so the inference path can share
-// the im2col/scatter kernels without touching the training cache.
+// convDims carries one pass's geometry so the inference paths can share
+// the im2col/epilogue kernels without touching the training cache.
 type convDims struct {
 	n, h, w, outH, outW int
 }
@@ -96,24 +99,6 @@ func (c *Conv2D) checkInput(x *tensor.Tensor) (convDims, error) {
 	return convDims{n: n, h: h, w: w, outH: outH, outW: outW}, nil
 }
 
-// forwardCompute runs the batched im2col + GEMM + bias pipeline and
-// returns the output and the im2col matrix (both scratch tensors).
-func (c *Conv2D) forwardCompute(x *tensor.Tensor, d convDims) (out, cols *tensor.Tensor, err error) {
-	k := c.KernelSize
-	cols = tensor.GetScratch(c.InChannels*k*k, d.n*d.outH*d.outW)
-	c.im2colBatch(x, cols, d)
-	gemm := tensor.GetScratch(c.OutChannels, d.n*d.outH*d.outW)
-	if err := tensor.MatMulInto(gemm, c.weight.Value, cols); err != nil {
-		tensor.PutScratch(cols)
-		tensor.PutScratch(gemm)
-		return nil, nil, fmt.Errorf("nn: conv forward: %w", err)
-	}
-	out = tensor.GetScratch(d.n, c.OutChannels, d.outH, d.outW)
-	c.scatterOutput(gemm, out, d)
-	tensor.PutScratch(gemm)
-	return out, cols, nil
-}
-
 // Forward computes the convolution for a batch (N, Cin, H, W), caching
 // the im2col matrix for Backward.
 func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
@@ -127,38 +112,240 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 		tensor.PutScratch(c.cols)
 		c.cols = nil
 	}
-	out, cols, err := c.forwardCompute(x, d)
-	if err != nil {
-		return nil, err
+	k := c.KernelSize
+	cols := tensor.GetScratch(c.InChannels*k*k, d.n*d.outH*d.outW)
+	im2colInto(x.Data, cols.Data, c.InChannels, k, c.Stride, c.Pad, d)
+	gemm := tensor.GetScratch(c.OutChannels, d.n*d.outH*d.outW)
+	if err := tensor.MatMulInto(gemm, c.weight.Value, cols); err != nil {
+		tensor.PutScratch(cols)
+		tensor.PutScratch(gemm)
+		return nil, fmt.Errorf("nn: conv forward: %w", err)
 	}
+	out := tensor.GetScratch(d.n, c.OutChannels, d.outH, d.outW)
+	c.scatterOutput(gemm, out, d)
+	tensor.PutScratch(gemm)
 	c.cols = cols
 	c.inN, c.inH, c.inW = d.n, d.h, d.w
 	c.outH, c.outW = d.outH, d.outW
 	return out, nil
 }
 
-// Infer computes the convolution without touching the training cache; it
-// is safe for concurrent use and releases all scratch before returning.
+// Infer computes the convolution without touching the training cache
+// through the sample-tiled inference path (see inferTiled) with a
+// bias-only epilogue; it is safe for concurrent use and releases all
+// scratch before returning.
 func (c *Conv2D) Infer(x *tensor.Tensor) (*tensor.Tensor, error) {
+	y, _, err := c.inferBlock(x, nil)
+	return y, err
+}
+
+// inferBlock runs the convolution with as many of the layers after it
+// fused into its epilogue as the tiled path supports: a LeakyReLU
+// directly after it, then a 2x2/stride-2 MaxPool2D after that (when the
+// conv output is at least 2x2). It returns the output and the number of
+// layers consumed, 1 to 3. Sequential.Infer calls it for every Conv2D,
+// so fusion follows from the layer sequence alone.
+func (c *Conv2D) inferBlock(x *tensor.Tensor, next []Layer) (*tensor.Tensor, int, error) {
 	d, err := c.checkInput(x)
 	if err != nil {
-		return nil, err
+		return nil, 1, err
 	}
-	out, cols, err := c.forwardCompute(x, d)
-	if err != nil {
-		return nil, err
+	used := 1
+	var relu *LeakyReLU
+	pool := false
+	if len(next) > 0 {
+		relu, _ = next[0].(*LeakyReLU)
 	}
-	tensor.PutScratch(cols)
+	if relu != nil {
+		used++
+		if len(next) > 1 {
+			if p, ok := next[1].(*MaxPool2D); ok && p.Size == 2 && p.Stride == 2 && d.outH >= 2 && d.outW >= 2 {
+				pool = true
+				used++
+			}
+		}
+	}
+	y, err := c.inferTiled(x, d, relu, pool)
+	return y, used, err
+}
+
+// inferTiled is the whole f32 inference convolution, one sample at a
+// time: im2col writes the sample straight into the packed-B panel of
+// the GEMM (so no packing pass runs and the panel stays in cache), the
+// microkernels run on the calling goroutine, and the epilogue adds the
+// bias, then applies relu (if non-nil), then a 2x2/stride-2 max pool
+// (if pool; requires relu), writing the final NCHW output. Samples fan
+// across workers, each with its own panel.
+//
+// Bit-identity with Forward followed by the separate layers: every
+// output element sees the same products in the same k order (the GEMM
+// contract), then the same bias add, activation and max compares in
+// the same order as scatterOutput, LeakyReLU and MaxPool2D.Infer.
+func (c *Conv2D) inferTiled(x *tensor.Tensor, d convDims, relu *LeakyReLU, pool bool) (*tensor.Tensor, error) {
+	oHW := d.outH * d.outW
+	kk := c.InChannels * c.KernelSize * c.KernelSize
+	outH, outW := d.outH, d.outW
+	if pool {
+		outH, outW = outH/2, outW/2
+	}
+	out := tensor.GetScratch(d.n, c.OutChannels, outH, outW)
+	inPer := c.InChannels * d.h * d.w
+	outPer := c.OutChannels * outH * outW
+	panelLen := (oHW + tensor.PackedStripWidth - 1) / tensor.PackedStripWidth * tensor.PackedStripWidth * kk
+	var (
+		mu      sync.Mutex
+		gemmErr error
+	)
+	parallelSamples(d.n, d.n*kk*oHW, func(s0, s1 int) {
+		panel := tensor.GetScratch(panelLen)
+		defer tensor.PutScratch(panel)
+		hp, wp := d.h+2*c.Pad, d.w+2*c.Pad
+		var padded *tensor.Tensor
+		if c.Pad > 0 {
+			padded = tensor.GetScratch(c.InChannels, hp, wp)
+			defer tensor.PutScratch(padded)
+		}
+		var gemm *tensor.Tensor
+		if pool {
+			gemm = tensor.GetScratch(c.OutChannels, oHW)
+			defer tensor.PutScratch(gemm)
+		}
+		for s := s0; s < s1; s++ {
+			xs := x.Data[s*inPer : (s+1)*inPer]
+			if padded != nil {
+				padSample(padded.Data, xs, c.InChannels, c.Pad, d)
+				xs = padded.Data
+			}
+			im2colPacked(xs, panel.Data, c.InChannels, c.KernelSize, c.Stride, hp, wp, d)
+			dst := out.Data[s*outPer : (s+1)*outPer]
+			res := dst
+			if pool {
+				res = gemm.Data
+			}
+			if err := tensor.MatMulPackedBInto(res, c.weight.Value, panel.Data, oHW); err != nil {
+				mu.Lock()
+				gemmErr = err
+				mu.Unlock()
+				return
+			}
+			c.epilogue(dst, res, relu, pool, d)
+		}
+	})
+	if gemmErr != nil {
+		tensor.PutScratch(out)
+		return nil, fmt.Errorf("nn: conv infer: %w", gemmErr)
+	}
 	return out, nil
 }
 
-// im2colBatch unrolls every sample's receptive fields into the batched
-// (Cin*K*K, N*outH*outW) matrix: row r holds kernel-position r, sample
-// s's columns occupy the [s*outH*outW, (s+1)*outH*outW) block of each
-// row. Every element is written (padding positions get explicit zeros),
-// so the destination may be dirty scratch. Samples fan across workers.
-func (c *Conv2D) im2colBatch(x, col *tensor.Tensor, d convDims) {
-	im2colInto(x.Data, col.Data, c.InChannels, c.KernelSize, c.Stride, c.Pad, d)
+// epilogue finishes one sample: res holds its (OutC, outH*outW) GEMM
+// result, dst its NCHW output (the same slice unless pool). Each value
+// gets the channel bias, then relu if non-nil; with pool, each 2x2
+// window's four activated values are compared in the order
+// MaxPool2D.Infer uses (top-left, top-right, bottom-left, bottom-right).
+func (c *Conv2D) epilogue(dst, res []float32, relu *LeakyReLU, pool bool, d convDims) {
+	oHW := d.outH * d.outW
+	for oc := 0; oc < c.OutChannels; oc++ {
+		bv := c.bias.Value.Data[oc]
+		src := res[oc*oHW : (oc+1)*oHW]
+		switch {
+		case pool:
+			pw := d.outW / 2
+			orow := dst[oc*(d.outH/2)*pw:]
+			for oy := 0; oy < d.outH/2; oy++ {
+				top := src[2*oy*d.outW : 2*oy*d.outW+2*pw]
+				bot := src[(2*oy+1)*d.outW : (2*oy+1)*d.outW+2*pw]
+				for ox := 0; ox < pw; ox++ {
+					best := relu.act(top[2*ox] + bv)
+					if v := relu.act(top[2*ox+1] + bv); v > best {
+						best = v
+					}
+					if v := relu.act(bot[2*ox] + bv); v > best {
+						best = v
+					}
+					if v := relu.act(bot[2*ox+1] + bv); v > best {
+						best = v
+					}
+					orow[oy*pw+ox] = best
+				}
+			}
+		case relu != nil:
+			for i, v := range src {
+				src[i] = relu.act(v + bv)
+			}
+		default:
+			for i := range src {
+				src[i] += bv
+			}
+		}
+	}
+}
+
+// padSample copies one (Cin, H, W) sample into the centre of dst, a
+// (Cin, H+2*pad, W+2*pad) buffer whose border it zeroes, so im2col
+// reads need no bounds checks.
+func padSample(dst, xs []float32, inC, pad int, d convDims) {
+	clear(dst)
+	hp, wp := d.h+2*pad, d.w+2*pad
+	for ci := 0; ci < inC; ci++ {
+		for y := 0; y < d.h; y++ {
+			o := (ci*hp+y+pad)*wp + pad
+			copy(dst[o:o+d.w], xs[(ci*d.h+y)*d.w:(ci*d.h+y+1)*d.w])
+		}
+	}
+}
+
+// im2colPacked unrolls one zero-padded sample (Cin, hp, wp) straight
+// into the packed-B layout tensor.MatMulPackedBInto reads: entry (row r,
+// column j) of the (Cin*K*K, outH*outW) im2col matrix, with
+// r = (ci*K+ky)*K+kx and j = oy*outW+ox, lands in strip j/nr at offset
+// r*nr + j%nr, where nr is tensor.PackedStripWidth. The panel is written
+// strip by strip, in order. Every column below outH*outW is written, so
+// the panel may be dirty scratch; the lanes past the last column are
+// left as they are.
+func im2colPacked(xp, panel []float32, inC, k, stride, hp, wp int, d convDims) {
+	const nr = tensor.PackedStripWidth
+	kk := inC * k * k
+	oHW := d.outH * d.outW
+	for j0 := 0; j0 < oHW; j0 += nr {
+		strip := panel[j0*kk : (j0+nr)*kk]
+		oy, ox := j0/d.outW, j0%d.outW
+		if ox+nr <= d.outW {
+			// The strip lies in one output row: each of its rows is nr
+			// loads stride apart (one 4-wide copy at stride 1).
+			o := 0
+			for ci := 0; ci < inC; ci++ {
+				for ky := 0; ky < k; ky++ {
+					src := xp[(ci*hp+oy*stride+ky)*wp+ox*stride:]
+					for kx := 0; kx < k; kx++ {
+						dst := (*[nr]float32)(strip[o : o+nr])
+						if stride == 1 {
+							*dst = [nr]float32(src[kx : kx+nr])
+						} else {
+							for l := range dst {
+								dst[l] = src[kx+l*stride]
+							}
+						}
+						o += nr
+					}
+				}
+			}
+			continue
+		}
+		for l := 0; l < nr && j0+l < oHW; l++ {
+			oy, ox := (j0+l)/d.outW, (j0+l)%d.outW
+			o := l
+			for ci := 0; ci < inC; ci++ {
+				for ky := 0; ky < k; ky++ {
+					src := xp[(ci*hp+oy*stride+ky)*wp+ox*stride:]
+					for kx := 0; kx < k; kx++ {
+						strip[o] = src[kx]
+						o += nr
+					}
+				}
+			}
+		}
+	}
 }
 
 // im2colInto is the element-type-generic im2col core shared by the f32

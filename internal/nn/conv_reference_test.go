@@ -195,7 +195,8 @@ func (r *refConv) backward(x, gradOut *tensor.Tensor, cols []*tensor.Tensor) (dw
 // TestConvBitIdenticalToReference drives the batched Conv2D and the
 // seed-style per-sample reference over a table of odd shapes (kernel 1,
 // single sample, single channel, strides, asymmetric spatial dims) and
-// requires bit-identical forward outputs and gradients.
+// requires bit-identical forward outputs, inference outputs and
+// gradients.
 func TestConvBitIdenticalToReference(t *testing.T) {
 	cases := []struct {
 		name                      string
@@ -245,6 +246,15 @@ func TestConvBitIdenticalToReference(t *testing.T) {
 			for i := range want.Data {
 				if got.Data[i] != want.Data[i] {
 					t.Fatalf("forward[%d] = %g, reference %g", i, got.Data[i], want.Data[i])
+				}
+			}
+			inferred, err := conv.Infer(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.Data {
+				if inferred.Data[i] != want.Data[i] {
+					t.Fatalf("infer[%d] = %g, reference %g", i, inferred.Data[i], want.Data[i])
 				}
 			}
 

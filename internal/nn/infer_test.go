@@ -1,8 +1,10 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -45,33 +47,119 @@ func testNet(t *testing.T) *Sequential {
 	return NewSequential(conv1, relu, pool, conv2, pool2, drop, lin)
 }
 
+// inferCase is one network and input geometry for the inference
+// bit-identity tables. The cases cover every shape the fused
+// convolution epilogue handles or must decline to fuse.
+type inferCase struct {
+	name    string
+	c, h, w int
+	layers  func(t *testing.T, rng *rand.Rand) []Layer
+	// wantErr marks the one degenerate geometry: both Forward and Infer
+	// must reject it, with the same message.
+	wantErr bool
+}
+
+func mustConv(t *testing.T, rng *rand.Rand, in, out, k, stride, pad int) Layer {
+	t.Helper()
+	c, err := NewConv2D(in, out, k, stride, pad, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Non-zero biases, so the epilogue's bias add is exercised.
+	c.bias.Value.UniformInit(0.5, rng)
+	return c
+}
+
+func mustReLU(t *testing.T) Layer {
+	t.Helper()
+	r, err := NewLeakyReLU(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func mustPool(t *testing.T, size, stride int) Layer {
+	t.Helper()
+	p, err := NewMaxPool2D(size, stride)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+var inferCases = []inferCase{
+	{"conv_relu_pool_stack", 2, 10, 10, func(t *testing.T, _ *rand.Rand) []Layer { return testNet(t).Layers }, false},
+	{"stride2_pad0", 2, 11, 11, func(t *testing.T, rng *rand.Rand) []Layer {
+		return []Layer{mustConv(t, rng, 2, 5, 3, 2, 0), mustReLU(t), mustPool(t, 2, 0)}
+	}, false},
+	{"1x1_head", 3, 6, 7, func(t *testing.T, rng *rand.Rand) []Layer {
+		return []Layer{mustConv(t, rng, 3, 9, 1, 1, 0)}
+	}, false},
+	// 9x11: odd H and W, outW=11 and outH*outW=99 both off the strip
+	// width, and a pool that drops the last row and column.
+	{"odd_hw", 2, 9, 11, func(t *testing.T, rng *rand.Rand) []Layer {
+		return []Layer{mustConv(t, rng, 2, 6, 3, 1, 1), mustReLU(t), mustPool(t, 2, 0)}
+	}, false},
+	// outW=6: strips straddle output rows; outH*outW=42 leaves a ragged
+	// last strip.
+	{"ragged_strips", 1, 7, 6, func(t *testing.T, rng *rand.Rand) []Layer {
+		return []Layer{mustConv(t, rng, 1, 4, 3, 1, 1), mustReLU(t), mustPool(t, 2, 0)}
+	}, false},
+	// The detector neck: conv→LeakyReLU with no pool, then a 1x1 head.
+	{"conv_relu_no_pool", 3, 8, 8, func(t *testing.T, rng *rand.Rand) []Layer {
+		return []Layer{mustConv(t, rng, 3, 4, 3, 1, 1), mustReLU(t), mustConv(t, rng, 4, 7, 1, 1, 0)}
+	}, false},
+	{"pool_not_2x2", 2, 12, 12, func(t *testing.T, rng *rand.Rand) []Layer {
+		return []Layer{mustConv(t, rng, 2, 4, 3, 1, 1), mustReLU(t), mustPool(t, 3, 2), mustConv(t, rng, 4, 3, 3, 1, 1), mustReLU(t), mustPool(t, 2, 1)}
+	}, false},
+	{"pool_not_after_conv", 2, 10, 10, func(t *testing.T, rng *rand.Rand) []Layer {
+		return []Layer{mustReLU(t), mustPool(t, 2, 0), mustConv(t, rng, 2, 3, 3, 1, 1), mustPool(t, 2, 0), mustReLU(t)}
+	}, false},
+	// A 1x1 conv output cannot feed a 2x2 pool; the conv→LeakyReLU
+	// pair still fuses and the pool's own error surfaces.
+	{"conv_output_too_small_to_pool", 2, 3, 3, func(t *testing.T, rng *rand.Rand) []Layer {
+		return []Layer{mustConv(t, rng, 2, 3, 3, 1, 0), mustReLU(t), mustPool(t, 2, 0)}
+	}, true},
+}
+
 // TestInferMatchesForward pins the train/infer split's core guarantee:
-// the stateless Infer path produces bit-identical outputs to the
-// training-mode Forward with train=false.
+// the stateless Infer path (with its fused conv epilogue) produces
+// bit-identical outputs to the training-mode Forward with train=false,
+// for every case at batch 1 to 5.
 func TestInferMatchesForward(t *testing.T) {
-	net := testNet(t)
-	rng := rand.New(rand.NewSource(32))
-	for trial := 0; trial < 4; trial++ {
-		n := 1 + trial
-		x := tensor.MustNew(n, 2, 10, 10)
-		x.UniformInit(1, rng)
-		want, err := net.Forward(x, false)
-		if err != nil {
-			t.Fatalf("Forward: %v", err)
-		}
-		wantData := append([]float32(nil), want.Data...)
-		got, err := net.Infer(x)
-		if err != nil {
-			t.Fatalf("Infer: %v", err)
-		}
-		if !got.SameShape(want) {
-			t.Fatalf("Infer shape %v, Forward shape %v", got.Shape, want.Shape)
-		}
-		for i := range wantData {
-			if got.Data[i] != wantData[i] {
-				t.Fatalf("trial %d: Infer[%d] = %g, Forward = %g", trial, i, got.Data[i], wantData[i])
+	for _, tc := range inferCases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(32))
+			net := NewSequential(tc.layers(t, rng)...)
+			for n := 1; n <= 5; n++ {
+				x := tensor.MustNew(n, tc.c, tc.h, tc.w)
+				x.UniformInit(1, rng)
+				want, err := net.Forward(x, false)
+				got, ierr := net.Infer(x)
+				if tc.wantErr {
+					// Both paths must fail at the same layer, for the same reason.
+					if err == nil || ierr == nil || strings.Replace(err.Error(), "forward", "infer", 1) != ierr.Error() {
+						t.Fatalf("batch %d: want matching errors, got Forward %v, Infer %v", n, err, ierr)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("batch %d: Forward: %v", n, err)
+				}
+				if ierr != nil {
+					t.Fatalf("batch %d: Infer: %v", n, ierr)
+				}
+				if !got.SameShape(want) {
+					t.Fatalf("batch %d: Infer shape %v, Forward shape %v", n, got.Shape, want.Shape)
+				}
+				for i := range want.Data {
+					if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+						t.Fatalf("batch %d: Infer[%d] = %g, Forward = %g", n, i, got.Data[i], want.Data[i])
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -79,30 +167,44 @@ func TestInferMatchesForward(t *testing.T) {
 // to running each sample alone — the property that lets Detect batch
 // frames without changing any reported metric.
 func TestInferBatchMatchesSingle(t *testing.T) {
-	net := testNet(t)
-	rng := rand.New(rand.NewSource(33))
-	const n = 5
-	batch := tensor.MustNew(n, 2, 10, 10)
-	batch.UniformInit(1, rng)
-	got, err := net.Infer(batch)
-	if err != nil {
-		t.Fatalf("batched Infer: %v", err)
-	}
-	gotData := append([]float32(nil), got.Data...)
-	per := got.NumElems() / n
-	inPer := batch.NumElems() / n
-	for s := 0; s < n; s++ {
-		one := tensor.MustNew(1, 2, 10, 10)
-		copy(one.Data, batch.Data[s*inPer:(s+1)*inPer])
-		single, err := net.Infer(one)
-		if err != nil {
-			t.Fatalf("single Infer %d: %v", s, err)
-		}
-		for i := 0; i < per; i++ {
-			if single.Data[i] != gotData[s*per+i] {
-				t.Fatalf("sample %d elem %d: single %g vs batched %g", s, i, single.Data[i], gotData[s*per+i])
+	for _, tc := range inferCases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(33))
+			net := NewSequential(tc.layers(t, rng)...)
+			const n = 5
+			batch := tensor.MustNew(n, tc.c, tc.h, tc.w)
+			batch.UniformInit(1, rng)
+			got, err := net.Infer(batch)
+			if tc.wantErr {
+				// The degenerate case must fail batched and single alike,
+				// with the same message.
+				one := tensor.MustNew(1, tc.c, tc.h, tc.w)
+				_, serr := net.Infer(one)
+				if err == nil || serr == nil || err.Error() != serr.Error() {
+					t.Fatalf("want matching errors, got batched %v, single %v", err, serr)
+				}
+				return
 			}
-		}
+			if err != nil {
+				t.Fatalf("batched Infer: %v", err)
+			}
+			gotData := append([]float32(nil), got.Data...)
+			per := got.NumElems() / n
+			inPer := batch.NumElems() / n
+			for s := 0; s < n; s++ {
+				one := tensor.MustNew(1, tc.c, tc.h, tc.w)
+				copy(one.Data, batch.Data[s*inPer:(s+1)*inPer])
+				single, err := net.Infer(one)
+				if err != nil {
+					t.Fatalf("single Infer %d: %v", s, err)
+				}
+				for i := 0; i < per; i++ {
+					if math.Float32bits(single.Data[i]) != math.Float32bits(gotData[s*per+i]) {
+						t.Fatalf("sample %d elem %d: single %g vs batched %g", s, i, single.Data[i], gotData[s*per+i])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -145,6 +247,35 @@ func TestInferConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestParallelSamplesRepanicsOnCaller checks that a panic in a fanned-out
+// worker reaches the caller's recover, after every worker has finished,
+// instead of killing the process from a goroutine nobody can recover.
+func TestParallelSamplesRepanicsOnCaller(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	const n = 4
+	var done [n]bool
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		parallelSamples(n, parallelWorkThreshold, func(s0, s1 int) {
+			if s0 > 0 {
+				panic("worker boom")
+			}
+			for s := s0; s < s1; s++ {
+				done[s] = true
+			}
+		})
+		return nil
+	}()
+	if got != "worker boom" {
+		t.Fatalf("caller recovered %v, want the worker's panic", got)
+	}
+	if !done[0] {
+		t.Fatal("caller re-panicked before the first worker finished")
 	}
 }
 

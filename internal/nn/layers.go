@@ -40,9 +40,11 @@ func (p *MaxPool2D) outDims(x *tensor.Tensor) (n, c, outH, outW int, err error) 
 	}
 	n, c = x.Shape[0], x.Shape[1]
 	h, w := x.Shape[2], x.Shape[3]
+	// A window larger than the input is degenerate; the formula alone
+	// would truncate (h-size)/stride toward zero and report 1.
 	outH = (h-p.Size)/p.Stride + 1
 	outW = (w-p.Size)/p.Stride + 1
-	if outH <= 0 || outW <= 0 {
+	if h < p.Size || w < p.Size {
 		return 0, 0, 0, 0, fmt.Errorf("nn: pool output degenerate for %dx%d (size=%d stride=%d)", h, w, p.Size, p.Stride)
 	}
 	return n, c, outH, outW, nil
@@ -186,6 +188,14 @@ func NewLeakyReLU(alpha float32) (*LeakyReLU, error) {
 		return nil, fmt.Errorf("nn: leaky relu alpha %f outside [0,1)", alpha)
 	}
 	return &LeakyReLU{Alpha: alpha}, nil
+}
+
+// act is the activation of one value: alpha*v when v < 0, else v.
+func (r *LeakyReLU) act(v float32) float32 {
+	if v < 0 {
+		return r.Alpha * v
+	}
+	return v
 }
 
 // apply writes the activation of x into a fresh scratch tensor.

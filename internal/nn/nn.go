@@ -1,5 +1,7 @@
 // Package nn is a compact neural-network layer library with hand-written
-// backpropagation: 2-D convolution (batched im2col + one GEMM per batch),
+// backpropagation: 2-D convolution (batched im2col + one GEMM per batch
+// for training, sample-tiled and fused with the following activation and
+// pooling for inference),
 // max pooling, ReLU-family activations, fully connected layers, binary
 // cross-entropy and mean-squared-error losses, and SGD/Adam optimizers.
 // It is the training substrate for the YOLO-style detector standing in
@@ -13,7 +15,7 @@
 // stateless and reentrant: it touches no layer caches, so one model can
 // serve concurrent Infer calls — the property the evaluation engine uses
 // to fan detector/classifier inference across its worker pool. Both
-// paths run the same kernels and produce bit-identical outputs.
+// paths run the same GEMM microkernels and produce bit-identical outputs.
 package nn
 
 import (
@@ -138,15 +140,25 @@ func (s *Sequential) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 
 // Infer runs all layers in order through their stateless inference path,
 // recycling each intermediate as soon as the next layer has consumed it.
-// It is safe for concurrent use on one network (nothing may mutate the
-// parameters concurrently). The caller's input is never recycled; the
-// returned output is a scratch tensor the caller may hand back via
+// Each Conv2D runs with a directly following LeakyReLU, and a 2x2
+// MaxPool2D after that, fused into its epilogue (Conv2D.inferBlock); the
+// result is bit-identical to running the layers one by one. It is safe
+// for concurrent use on one network (nothing may mutate the parameters
+// concurrently). The caller's input is never recycled; the returned
+// output is a scratch tensor the caller may hand back via
 // tensor.PutScratch when done.
 func (s *Sequential) Infer(x *tensor.Tensor) (*tensor.Tensor, error) {
 	s.f32Infers.Add(1)
 	cur := x
-	for i, l := range s.Layers {
-		y, err := l.Infer(cur)
+	for i := 0; i < len(s.Layers); {
+		var y *tensor.Tensor
+		var err error
+		used := 1
+		if conv, ok := s.Layers[i].(*Conv2D); ok {
+			y, used, err = conv.inferBlock(cur, s.Layers[i+1:])
+		} else {
+			y, err = s.Layers[i].Infer(cur)
+		}
 		if err != nil {
 			if cur != x {
 				tensor.PutScratch(cur)
@@ -157,6 +169,7 @@ func (s *Sequential) Infer(x *tensor.Tensor) (*tensor.Tensor, error) {
 			tensor.PutScratch(cur)
 		}
 		cur = y
+		i += used
 	}
 	return cur, nil
 }

@@ -6,13 +6,16 @@ import (
 )
 
 // parallelWorkThreshold is the per-call element count below which
-// im2col/col2im/scatter loops run single-threaded: under it, goroutine
-// startup costs more than the copy.
+// per-sample loops (im2col/col2im/scatter, tiled inference) run
+// single-threaded: under it, goroutine startup costs more than the work.
 const parallelWorkThreshold = 1 << 14
 
 // parallelSamples runs f over [0, n) batch samples, fanning contiguous
 // sample ranges across GOMAXPROCS workers when the total element count
 // makes it worthwhile. Each sample's work must touch disjoint memory.
+// A panic in any worker is re-raised on the calling goroutine once all
+// workers have finished, so callers' recovers see it whether or not the
+// work fanned out.
 func parallelSamples(n, elems int, f func(s0, s1 int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if elems < parallelWorkThreshold || workers <= 1 || n <= 1 {
@@ -23,7 +26,11 @@ func parallelSamples(n, elems int, f func(s0, s1 int)) {
 		workers = n
 	}
 	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
+	var (
+		wg       sync.WaitGroup
+		panicked sync.Once
+		pval     any
+	)
 	for w := 0; w < workers; w++ {
 		s0 := w * chunk
 		s1 := s0 + chunk
@@ -36,8 +43,16 @@ func parallelSamples(n, elems int, f func(s0, s1 int)) {
 		wg.Add(1)
 		go func(s0, s1 int) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicked.Do(func() { pval = r })
+				}
+			}()
 			f(s0, s1)
 		}(s0, s1)
 	}
 	wg.Wait()
+	if pval != nil {
+		panic(pval)
+	}
 }

@@ -11,11 +11,13 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -419,6 +421,94 @@ func TestBackendErrorSurfacesAs500(t *testing.T) {
 	}
 	if typ := errorType(t, resp); typ != "backend_error" {
 		t.Fatalf("error type = %q, want backend_error", typ)
+	}
+}
+
+// panickyBackend panics on its first `left` Classify calls, then
+// answers like fakeBackend.
+type panickyBackend struct {
+	fakeBackend
+	left atomic.Int32
+}
+
+func (p *panickyBackend) Classify(ctx context.Context, req backend.BatchRequest) (backend.BatchResult, error) {
+	if p.left.Add(-1) >= 0 {
+		panic("synthetic backend panic")
+	}
+	return p.fakeBackend.Classify(ctx, req)
+}
+
+// classifyConcurrently posts one request per frame index, all at once,
+// and returns each response's status code (0 when the request failed
+// or timed out).
+func classifyConcurrently(url, route string, frames []int) []int {
+	client := &http.Client{Timeout: 10 * time.Second}
+	codes := make([]int, len(frames))
+	var wg sync.WaitGroup
+	for i, f := range frames {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body := fmt.Sprintf(`{"backend":%q,"frame":{"index":%d}}`, route, f)
+			resp, err := client.Post(url+"/v1/classify", "application/json", strings.NewReader(body))
+			if err != nil {
+				return
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			_ = resp.Body.Close()
+			codes[i] = resp.StatusCode
+		}()
+	}
+	wg.Wait()
+	return codes
+}
+
+// TestBackendPanicFailsBatchAndLeaksNoSlots drives a backend panic
+// through both flush paths. The panicking batch must get 500s, the
+// gateway must stay healthy, and no slot may leak: the follow-up batch
+// needs every admission slot (MaxQueue equals the batch size) and the
+// only dispatch slot (MaxDispatch 1), so a leak shows as a 503 or a
+// timeout.
+func TestBackendPanicFailsBatchAndLeaksNoSlots(t *testing.T) {
+	const batch = 4
+	for _, tc := range []struct {
+		name    string
+		delayMS int
+		frames  []int
+	}{
+		// One request never fills the batch, so the max-latency timer
+		// dispatches it on the timer's own goroutine.
+		{"timer_flush", 5, []int{0}},
+		// A full batch dispatches on the request that filled it; the
+		// timer is far too long to fire first.
+		{"size_flush", 60000, []int{0, 1, 2, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pb := &panickyBackend{fakeBackend: fakeBackend{name: "panicky"}}
+			pb.left.Store(1)
+			_, ts := gateway(t, serve.Config{CacheSize: -1, MaxBatch: batch, BatchDelayMS: tc.delayMS, MaxQueue: batch, MaxDispatch: 1}, serve.Options{
+				Frames:   studyCache(t, 2),
+				Backends: map[string]backend.Backend{"panicky": pb},
+			})
+			for i, code := range classifyConcurrently(ts.URL, "panicky", tc.frames) {
+				if code != http.StatusInternalServerError {
+					t.Fatalf("request %d of the panicking batch: status %d, want 500", i, code)
+				}
+			}
+			resp, err := http.Get(ts.URL + "/healthz")
+			if err != nil {
+				t.Fatalf("GET /healthz after panic: %v", err)
+			}
+			_ = resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("/healthz after panic: status %d, want 200", resp.StatusCode)
+			}
+			for i, code := range classifyConcurrently(ts.URL, "panicky", []int{4, 5, 6, 7}) {
+				if code != http.StatusOK {
+					t.Fatalf("follow-up request %d: status %d, want 200", i, code)
+				}
+			}
+		})
 	}
 }
 

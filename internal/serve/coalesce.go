@@ -198,7 +198,7 @@ func (rt *route) dispatch(opts backend.Options, batch []*pendingCall) {
 		}
 	}
 	rt.met.batchOne(len(items), len(live)-len(items))
-	res, err := rt.b.Classify(rt.srv.baseCtx, backend.BatchRequest{Items: items, Options: opts})
+	res, err := rt.classify(backend.BatchRequest{Items: items, Options: opts})
 	if err != nil {
 		failAll(fmt.Errorf("serve: %s: %w", rt.name, err))
 		return
@@ -210,6 +210,21 @@ func (rt *route) dispatch(opts backend.Options, batch []*pendingCall) {
 	for _, pc := range live {
 		pc.done <- callResult{answers: res.Answers[slot[pc.key]], batchSize: len(items)}
 	}
+}
+
+// classify calls the backend under the server's lifetime context and
+// turns a panic into an error. Dispatch runs on the timer goroutine
+// (where an unrecovered panic kills the gateway) or on the request that
+// filled the batch (where it would leave the co-batched waiters without
+// an answer); recovered, the batch fails with a 5xx and every deferred
+// slot release in dispatch and the handlers still runs.
+func (rt *route) classify(req backend.BatchRequest) (res backend.BatchResult, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("backend panicked: %v", p)
+		}
+	}()
+	return rt.b.Classify(rt.srv.baseCtx, req)
 }
 
 // optionsKey canonicalizes the request knobs that must match for two

@@ -285,4 +285,14 @@ func TestIntoValidation(t *testing.T) {
 	if err := MatMulTransBInto(MustNew(2, 2), a, MustNew(4, 3)); err == nil {
 		t.Error("TransB wrong dst shape accepted")
 	}
+	bp := make([]float32, 3*4)
+	if err := MatMulPackedBInto(make([]float32, 7), a, bp, 4); err == nil {
+		t.Error("PackedB short dst accepted")
+	}
+	if err := MatMulPackedBInto(make([]float32, 8), a, bp[:11], 4); err == nil {
+		t.Error("PackedB short packed B accepted")
+	}
+	if err := MatMulPackedBInto(make([]float32, 8), MustNew(6), bp, 4); err == nil {
+		t.Error("PackedB 1-D A accepted")
+	}
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"sync"
 	"time"
 )
@@ -188,27 +189,81 @@ func packedSerial(dst, a, b *Tensor, r0, r1 int, bs gemmBlocks, transA, transB b
 				} else {
 					packANormal(ap, a, ic, mcEff, pc, kcEff)
 				}
-				packedCompute(dst, ic, jc, n, ap, bp, mcEff, ncEff, kcEff)
+				packedCompute(dst.Data, ic, jc, n, ap, bp, gemmNR*kcEff, mcEff, ncEff, kcEff)
 			}
 		}
 	}
 }
 
 // packedCompute sweeps the microkernel over one packed A panel x packed
-// B panel pair, accumulating into dst.
-func packedCompute(dst *Tensor, ic, jc, ldc int, ap, bp []float32, mc, nc, kc int) {
+// B panel pair, accumulating into the row-major C (row stride ldc).
+// Consecutive B strips start bstride floats apart; each strip's kc rows
+// are contiguous from its start.
+func packedCompute(c []float32, ic, jc, ldc int, ap, bp []float32, bstride, mc, nc, kc int) {
 	for jr := 0; jr < nc; jr += gemmNR {
 		cols := min(gemmNR, nc-jr)
-		bstrip := bp[(jr/gemmNR)*gemmNR*kc:]
+		bstrip := bp[(jr/gemmNR)*bstride:]
 		for ir := 0; ir < mc; ir += gemmMR {
 			rows := min(gemmMR, mc-ir)
 			astrip := ap[(ir/gemmMR)*gemmMR*kc:]
 			cbase := (ic+ir)*ldc + jc + jr
 			if rows == gemmMR && cols == gemmNR {
-				microKernel4x4(dst.Data[cbase:], ldc, astrip, bstrip, kc)
+				microKernel4x4(c[cbase:], ldc, astrip, bstrip, kc)
 			} else {
-				microKernelEdge(dst.Data[cbase:], ldc, astrip, bstrip, kc, rows, cols)
+				microKernelEdge(c[cbase:], ldc, astrip, bstrip, kc, rows, cols)
 			}
+		}
+	}
+}
+
+// PackedStripWidth is the column width of one strip of the packed B
+// operand MatMulPackedBInto consumes.
+const PackedStripWidth = gemmNR
+
+// MatMulPackedBInto computes dst = A·B on the calling goroutine for a B
+// the caller has already written in packed form, so no packing pass
+// runs over B. A is m x k; dst receives the m x n product row-major and
+// must hold at least m*n elements (all of which are overwritten). bp
+// holds B (k x n) as ceil(n/PackedStripWidth) strips of
+// PackedStripWidth columns, each k-major: B[p][j] sits at
+// bp[(j/PackedStripWidth)*PackedStripWidth*k + p*PackedStripWidth +
+// j%PackedStripWidth]. Lanes past n in the last strip are multiplied
+// but never stored, so their contents do not matter. The result is
+// bit-identical to MatMulInto on the unpacked B.
+func MatMulPackedBInto(dst []float32, a *Tensor, bp []float32, n int) error {
+	if len(a.Shape) != 2 {
+		return fmt.Errorf("tensor: MatMulPackedB needs a 2-D A, got %v", a.Shape)
+	}
+	m, k := a.Shape[0], a.Shape[1]
+	if n <= 0 {
+		return fmt.Errorf("tensor: MatMulPackedB needs n > 0, got %d", n)
+	}
+	if len(dst) < m*n {
+		return fmt.Errorf("tensor: MatMulPackedB dst holds %d elements, want %d", len(dst), m*n)
+	}
+	if want := roundUp(n, gemmNR) * k; len(bp) < want {
+		return fmt.Errorf("tensor: MatMulPackedB packed B holds %d elements, want %d", len(bp), want)
+	}
+	statGEMMCalls.Add(1)
+	packedBSerial(dst[:m*n], a, bp, n, gemmBlockSizes())
+	return nil
+}
+
+// packedBSerial is packedSerial's loop nest for a pre-packed, full-K B:
+// pc (K blocks, ascending) → ic (M blocks) → pack A → microkernel sweep
+// over every strip, each read from its row pc onward.
+func packedBSerial(dst []float32, a *Tensor, bp []float32, n int, bs gemmBlocks) {
+	m, k := a.Shape[0], a.Shape[1]
+	clear(dst)
+	mc, kc := min(bs.mc, roundUp(m, gemmMR)), min(bs.kc, k)
+	apBox := getPanel(mc * kc)
+	defer putPanel(apBox)
+	for pc := 0; pc < k; pc += kc {
+		kcEff := min(kc, k-pc)
+		for ic := 0; ic < m; ic += mc {
+			mcEff := min(mc, m-ic)
+			packANormal(apBox.buf, a, ic, mcEff, pc, kcEff)
+			packedCompute(dst, ic, 0, n, apBox.buf, bp[pc*gemmNR:], gemmNR*k, mcEff, n, kcEff)
 		}
 	}
 }

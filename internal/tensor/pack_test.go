@@ -2,17 +2,19 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
 
 // Property suite for the packed tiled GEMM: across adversarial shapes
 // (every M,N,K from propertyDims — primes, powers of two, and their
-// neighbors, so every ragged-tile tail arises) and all three transpose
-// variants, the packed kernel must be BIT-identical to the naive
-// reference, not epsilon-close. The packed core is driven directly with
-// deliberately tiny cache blockings so block boundaries land mid-matrix
-// in many alignments, independent of what the runtime probe picked.
+// neighbors, so every ragged-tile tail arises), all three transpose
+// variants and the entry point that takes an already-packed B, the
+// packed kernel must be BIT-identical to the naive reference, not
+// epsilon-close. The packed core is driven directly with deliberately
+// tiny cache blockings so block boundaries land mid-matrix in many
+// alignments, independent of what the runtime probe picked.
 
 var propertyDims = []int{1, 2, 3, 5, 7, 9, 13, 17, 31, 33, 63, 64, 65, 127, 128, 129}
 
@@ -28,6 +30,23 @@ var tinyBlocks = []gemmBlocks{
 // given blocking, mirroring what matMulPacked does per worker.
 func packedVariant(dst, a, b *Tensor, bs gemmBlocks, transA, transB bool) {
 	packedSerial(dst, a, b, 0, dst.Shape[0], bs, transA, transB)
+}
+
+// fullyPackedB packs all of b (k x n) in MatMulPackedBInto's layout,
+// then fills the lanes past n with NaN: they must never reach a result.
+func fullyPackedB(b *Tensor) []float32 {
+	k, n := b.Shape[0], b.Shape[1]
+	bp := make([]float32, roundUp(n, gemmNR)*k)
+	packBNormal(bp, b, 0, k, 0, n)
+	if rem := n % gemmNR; rem != 0 {
+		last := bp[(n/gemmNR)*gemmNR*k:]
+		for p := 0; p < k; p++ {
+			for j := rem; j < gemmNR; j++ {
+				last[p*gemmNR+j] = float32(math.NaN())
+			}
+		}
+	}
+	return bp
 }
 
 func randFilled(rng *rand.Rand, dims ...int) *Tensor {
@@ -66,6 +85,13 @@ func TestPackedGEMMPropertyBitIdentical(t *testing.T) {
 			assertBitIdentical(t, fmt.Sprintf("packed %dx%dx%d blocks %+v", s.m, s.n, s.k, bs), got, want)
 		}
 
+		bp := fullyPackedB(b)
+		for _, bs := range tinyBlocks {
+			got.Fill(42)
+			packedBSerial(got.Data, a, bp, s.n, bs)
+			assertBitIdentical(t, fmt.Sprintf("packedB %dx%dx%d blocks %+v", s.m, s.n, s.k, bs), got, want)
+		}
+
 		want = refMatMulTransA(at, b)
 		for _, bs := range tinyBlocks {
 			got.Fill(42)
@@ -101,6 +127,12 @@ func TestPackedGEMMPublicRoutingBitIdentical(t *testing.T) {
 				t.Fatalf("MatMulInto %dx%dx%d: %v", d, d, k, err)
 			}
 			assertBitIdentical(t, fmt.Sprintf("route MatMul %dx%dx%d", d, d, k), got, want)
+
+			got.Fill(42)
+			if err := MatMulPackedBInto(got.Data, a, fullyPackedB(b), d); err != nil {
+				t.Fatalf("MatMulPackedBInto %dx%dx%d: %v", d, d, k, err)
+			}
+			assertBitIdentical(t, fmt.Sprintf("route PackedB %dx%dx%d", d, d, k), got, want)
 
 			want = refMatMulTransA(at, b)
 			if err := MatMulTransAInto(got, at, b); err != nil {
@@ -175,12 +207,13 @@ func TestMicroKernelAsmMatchesGo(t *testing.T) {
 }
 
 // FuzzPackedGEMM lets the fuzzer pick shapes and a data seed; the packed
-// kernel must stay bit-identical to the reference for every corpus and
-// generated input.
+// kernel, and the entry point taking an already-packed B, must stay
+// bit-identical to the reference for every corpus and generated input.
 func FuzzPackedGEMM(f *testing.F) {
 	f.Add(3, 5, 7, int64(1))
 	f.Add(129, 1, 64, int64(2))
 	f.Add(16, 16, 16, int64(3))
+	f.Add(9, 37, 130, int64(4)) // packed B: ragged n, k past the kc=8 block
 	f.Fuzz(func(t *testing.T, m, n, k int, seed int64) {
 		if m < 1 || n < 1 || k < 1 || m > 130 || n > 130 || k > 130 {
 			t.Skip()
@@ -192,5 +225,8 @@ func FuzzPackedGEMM(f *testing.F) {
 		got := MustNew(m, n)
 		packedVariant(got, a, b, tinyBlocks[1], false, false)
 		assertBitIdentical(t, fmt.Sprintf("fuzz %dx%dx%d", m, n, k), got, want)
+		got.Fill(42)
+		packedBSerial(got.Data, a, fullyPackedB(b), n, tinyBlocks[1])
+		assertBitIdentical(t, fmt.Sprintf("fuzz packedB %dx%dx%d", m, n, k), got, want)
 	})
 }
