@@ -116,8 +116,12 @@ fmt:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# nbhdbench/ is its own module (so the root ./... never reaches it) but
+# imports internal packages; vetting it here makes a deletion that
+# breaks the benchmark fail `make check`, not only its own CI job.
 vet:
 	$(GO) vet ./...
+	cd nbhdbench && $(GO) vet ./...
 
 # Every internal package must carry a real package comment ("// Package
 # <name> ..." in some file of the package) — the architecture book

@@ -30,11 +30,7 @@ func BenchmarkAblationPerceptionResolution(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rep, err := pipe.EvaluateClassifier(llmModel(b, vlm.Gemini15Pro), core.LLMOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			_, _, _, acc := rep.Averages()
+			_, _, _, acc := sweepClassifier(b, pipe, llmModel(b, vlm.Gemini15Pro), core.LLMOptions{}).Averages()
 			accs[si] = acc
 		}
 	}
@@ -148,24 +144,14 @@ func BenchmarkComparisonSceneClassifier(b *testing.B) {
 // BenchmarkAblationVotingVsBestMember quantifies the voting gain per
 // indicator class rather than on the average alone.
 func BenchmarkAblationVotingVsBestMember(b *testing.B) {
-	pipe, err := core.NewPipeline(core.Config{Coordinates: 60, Seed: benchSeed})
-	if err != nil {
-		b.Fatal(err)
-	}
 	var gemAcc, voteAcc [scene.NumIndicators]float64
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reports, err := pipe.EvaluateAllLLMs(core.LLMOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		voting, err := pipe.RunMajorityVoting(reports, core.LLMOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runBuiltin(b, "f5", 60)
+		gemini := res.Sweep("f5:models").Report(string(vlm.Gemini15Pro))
+		voting := res.Sweep("f5:voting").Reports[0].Report
 		for k, ind := range scene.Indicators() {
-			gemAcc[k] = reports[vlm.Gemini15Pro].Of(ind).Accuracy()
-			voteAcc[k] = voting.Report.Of(ind).Accuracy()
+			gemAcc[k] = gemini.Of(ind).Accuracy()
+			voteAcc[k] = voting.Of(ind).Accuracy()
 		}
 	}
 	b.StopTimer()

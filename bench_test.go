@@ -86,6 +86,36 @@ func llmModel(b *testing.B, id vlm.ModelID) *vlm.Model {
 	return m
 }
 
+// sweepClassifier sweeps one in-process classifier over the pipeline's
+// corpus through the evaluator's backend path.
+func sweepClassifier(tb testing.TB, pipe *core.Pipeline, c backend.Classifier, opts core.LLMOptions) *metrics.ClassReport {
+	tb.Helper()
+	lb, err := backend.NewLocal("", c)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rep, err := pipe.NewEvaluator(core.EvalConfig{}).EvaluateBackend(context.Background(), lb, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rep
+}
+
+// runBuiltin runs one of the paper's built-in experiment specs through
+// the declarative runner over a corpus of the given size.
+func runBuiltin(b *testing.B, name string, coords int) *experiment.Result {
+	b.Helper()
+	spec, err := experiment.Builtin(name, experiment.BuiltinConfig{Coordinates: coords, Seed: benchSeed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := experiment.NewRunner(experiment.RunnerConfig{}).Run(context.Background(), spec, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 func printDetectorTable(title string, res *core.BaselineResult) {
 	fmt.Printf("\n%s\n%-18s %9s %9s %9s %9s\n", title, "Label", "Precision", "Recall", "F1", "AP50")
 	var pSum, rSum, fSum float64
@@ -236,26 +266,10 @@ func BenchmarkFigure3_NoiseSNR(b *testing.B) {
 // Gemini and ChatGPT under parallel vs sequential prompting (paper:
 // parallel 92/83 vs sequential 80/79 average recall).
 func BenchmarkFigure4_PromptStrategy(b *testing.B) {
-	pipe := llmPipeline(b)
 	ids := []vlm.ModelID{vlm.Gemini15Pro, vlm.ChatGPT4oMini}
-	type arm struct {
-		id   vlm.ModelID
-		mode prompt.Mode
-	}
-	var arms []arm
-	for _, id := range ids {
-		arms = append(arms, arm{id, prompt.Parallel}, arm{id, prompt.Sequential})
-	}
-	reports := make(map[arm]*metrics.ClassReport, len(arms))
-	b.ResetTimer()
+	var res *experiment.Result
 	for i := 0; i < b.N; i++ {
-		for _, a := range arms {
-			rep, err := pipe.EvaluateClassifier(llmModel(b, a.id), core.LLMOptions{Mode: a.mode})
-			if err != nil {
-				b.Fatal(err)
-			}
-			reports[a] = rep
-		}
+		res = runBuiltin(b, "f4", benchLLMCoord)
 	}
 	b.StopTimer()
 	fmt.Println("\nFig. 4 — recall by prompting strategy:")
@@ -263,8 +277,8 @@ func BenchmarkFigure4_PromptStrategy(b *testing.B) {
 		fmt.Printf("%s:\n%-12s %9s %9s\n", id, "Indicator", "Parallel", "Sequential")
 		var pSum, sSum float64
 		for _, ind := range scene.Indicators() {
-			pr := reports[arm{id, prompt.Parallel}].Of(ind).Recall()
-			sr := reports[arm{id, prompt.Sequential}].Of(ind).Recall()
+			pr := res.Sweep("f4:parallel").Report(string(id)).Of(ind).Recall()
+			sr := res.Sweep("f4:sequential").Report(string(id)).Of(ind).Recall()
 			pSum += pr
 			sSum += sr
 			fmt.Printf("%-12s %9.2f %9.2f\n", ind.Abbrev(), pr, sr)
@@ -277,9 +291,7 @@ func BenchmarkFigure4_PromptStrategy(b *testing.B) {
 // accuracy ladder — trained YOLO detector, each of the four LLMs, and the
 // top-three majority vote (paper: YOLO ~99, then 84/88/86/84 -> 88.5).
 func BenchmarkFigure5_MajorityVoting(b *testing.B) {
-	pipe := llmPipeline(b)
-	var reports map[vlm.ModelID]*metrics.ClassReport
-	var voting *core.VotingResult
+	var run *experiment.Result
 	var yoloAcc float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -304,43 +316,33 @@ func BenchmarkFigure5_MajorityVoting(b *testing.B) {
 		}
 		_, _, _, yoloAcc = detRep.Averages()
 
-		reports, err = pipe.EvaluateAllLLMs(core.LLMOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		voting, err = pipe.RunMajorityVoting(reports, core.LLMOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		run = runBuiltin(b, "f5", benchLLMCoord)
 	}
 	b.StopTimer()
 	fmt.Println("\nFig. 5 — image-level accuracy (paper: YOLO ~99, ChatGPT 84, Gemini 88, Claude 86, Grok 84, voting 88.5):")
 	fmt.Printf("%-18s %6.2f%%\n", "YOLOv11 (ours)", yoloAcc*100)
 	for _, id := range vlm.AllModels() {
-		_, _, _, acc := reports[id].Averages()
+		_, _, _, acc := run.Sweep("f5:models").Report(string(id)).Averages()
 		fmt.Printf("%-18s %6.2f%%\n", id, acc*100)
 	}
+	voting := run.Sweep("f5:voting").Reports[0]
 	_, _, _, acc := voting.Report.Averages()
-	fmt.Printf("%-18s %6.2f%%  committee %v\n", "majority voting", acc*100, voting.Committee)
+	fmt.Printf("%-18s %6.2f%%  committee %v\n", "majority voting", acc*100, voting.Members)
 }
 
 // BenchmarkFigure6_Languages regenerates Fig. 6: Gemini per-class recall
 // under English, Spanish, Chinese, and Bengali prompts (paper averages
 // 89.7/76/69/86 with a Chinese sidewalk collapse to ~1%).
 func BenchmarkFigure6_Languages(b *testing.B) {
-	pipe := llmPipeline(b)
-	reports := make(map[prompt.Language]*metrics.ClassReport, 4)
-	b.ResetTimer()
+	var res *experiment.Result
 	for i := 0; i < b.N; i++ {
-		for _, lang := range prompt.Languages() {
-			rep, err := pipe.EvaluateClassifier(llmModel(b, vlm.Gemini15Pro), core.LLMOptions{Language: lang})
-			if err != nil {
-				b.Fatal(err)
-			}
-			reports[lang] = rep
-		}
+		res = runBuiltin(b, "f6", benchLLMCoord)
 	}
 	b.StopTimer()
+	reports := make(map[prompt.Language]*metrics.ClassReport, 4)
+	for _, lang := range prompt.Languages() {
+		reports[lang] = res.Sweep("f6:" + lang.String()).Report(string(vlm.Gemini15Pro))
+	}
 	fmt.Printf("\nFig. 6 — Gemini recall by prompt language:\n%-12s", "Indicator")
 	for _, lang := range prompt.Languages() {
 		fmt.Printf(" %9s", lang)
@@ -365,15 +367,9 @@ func BenchmarkFigure6_Languages(b *testing.B) {
 // per-class precision/recall/F1/accuracy table for each of the four
 // models under parallel English prompts.
 func BenchmarkTables3to6_PerLLM(b *testing.B) {
-	pipe := llmPipeline(b)
-	var reports map[vlm.ModelID]*metrics.ClassReport
-	b.ResetTimer()
+	var res *experiment.Result
 	for i := 0; i < b.N; i++ {
-		var err error
-		reports, err = pipe.EvaluateAllLLMs(core.LLMOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = runBuiltin(b, "tables", benchLLMCoord)
 	}
 	b.StopTimer()
 	titles := map[vlm.ModelID]string{
@@ -383,7 +379,7 @@ func BenchmarkTables3to6_PerLLM(b *testing.B) {
 		vlm.Claude37:      "Table VI — Claude 3.7 (paper avg: P .72 R .90 F1 .78 Acc .86)",
 	}
 	for _, id := range []vlm.ModelID{vlm.ChatGPT4oMini, vlm.Gemini15Pro, vlm.Grok2, vlm.Claude37} {
-		rep := reports[id]
+		rep := res.Sweep("tables").Report(string(id))
 		fmt.Printf("\n%s\n%-18s %9s %9s %9s %9s\n", titles[id], "Label", "Precision", "Recall", "F1", "Accuracy")
 		for _, ind := range scene.Indicators() {
 			c := rep.Of(ind)
@@ -403,10 +399,7 @@ func BenchmarkParamTemperature(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for ti, temp := range temps {
-			rep, err := pipe.EvaluateClassifier(llmModel(b, vlm.Gemini15Pro), core.LLMOptions{Temperature: temp})
-			if err != nil {
-				b.Fatal(err)
-			}
+			rep := sweepClassifier(b, pipe, llmModel(b, vlm.Gemini15Pro), core.LLMOptions{Temperature: temp})
 			_, _, f1, _ := rep.Averages()
 			f1s[ti] = f1
 		}
@@ -427,10 +420,7 @@ func BenchmarkParamTopP(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for ti, topP := range tops {
-			rep, err := pipe.EvaluateClassifier(llmModel(b, vlm.Gemini15Pro), core.LLMOptions{TopP: topP})
-			if err != nil {
-				b.Fatal(err)
-			}
+			rep := sweepClassifier(b, pipe, llmModel(b, vlm.Gemini15Pro), core.LLMOptions{TopP: topP})
 			_, _, f1, _ := rep.Averages()
 			f1s[ti] = f1
 		}
@@ -487,11 +477,7 @@ func BenchmarkAblationCommitteeSize(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rep, err := pipe.EvaluateClassifier(committee, core.LLMOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			_, _, _, acc := rep.Averages()
+			_, _, _, acc := sweepClassifier(b, pipe, committee, core.LLMOptions{}).Averages()
 			accs[ci] = acc
 		}
 	}

@@ -132,11 +132,7 @@ func TestDetectorBeatsCommittee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := pipe.EvaluateClassifier(committee, core.LLMOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, _, llmAcc := rep.Averages()
+	_, _, _, llmAcc := sweepClassifier(t, pipe, committee, core.LLMOptions{}).Averages()
 	if detAcc <= llmAcc {
 		t.Errorf("detector accuracy %.3f should beat committee accuracy %.3f (paper RQ1)", detAcc, llmAcc)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -13,19 +12,11 @@ import (
 	"nbhd/internal/backend"
 	"nbhd/internal/dataset"
 	"nbhd/internal/ensemble"
-	"nbhd/internal/geo"
 	"nbhd/internal/metrics"
 	"nbhd/internal/render"
 	"nbhd/internal/scene"
 	"nbhd/internal/vlm"
 )
-
-// PerceivingClassifier is a Classifier that can consume precomputed
-// perception features, letting the evaluator perceive each frame once
-// and share the evidence across every model and committee that sweeps
-// the corpus. It aliases the backend layer's definition so the
-// fast-path contract has exactly one home.
-type PerceivingClassifier = backend.PerceivingClassifier
 
 // EvalConfig tunes the concurrent evaluator.
 type EvalConfig struct {
@@ -119,31 +110,6 @@ func classifySemFor(caps backend.Capabilities, workers int) chan struct{} {
 	return nil
 }
 
-// localBackend adapts an in-process Classifier to the backend layer,
-// labeling the known families for better errors.
-func localBackend(c Classifier) (*backend.Local, error) {
-	switch v := c.(type) {
-	case *vlm.Model:
-		return backend.NewVLM(v)
-	case *ensemble.Committee:
-		return backend.NewCommittee(v)
-	default:
-		return backend.NewLocal("local", v)
-	}
-}
-
-// EvaluateClassifier sweeps an in-process classifier over the corpus by
-// adapting it to the backend layer — the historical entry point for
-// models and committees, now one caller of EvaluateBackend among five
-// backend families.
-func (e *Evaluator) EvaluateClassifier(ctx context.Context, c Classifier, opts LLMOptions) (*metrics.ClassReport, error) {
-	b, err := localBackend(c)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return e.EvaluateBackend(ctx, b, opts)
-}
-
 // EvaluateBackend sweeps any classifier backend over the corpus with the
 // evaluator's worker pool. The backend's capability hints shape the
 // sweep: frames render (once, cached) at its preferred resolution,
@@ -158,102 +124,26 @@ func (e *Evaluator) EvaluateBackend(ctx context.Context, b backend.Backend, opts
 	if !dataset.ValidCondition(opts.Condition) {
 		return nil, fmt.Errorf("core: unknown capture condition %q (have %v)", opts.Condition, dataset.Conditions())
 	}
-	caps := b.Capabilities()
 	n := p.Study.Len()
 	if opts.FrameLimit > 0 && opts.FrameLimit < n {
 		n = opts.FrameLimit
 	}
-	size := p.renderSizeFor(caps)
-	batch := caps.PreferredBatch
-	if batch < 1 {
-		batch = 1
-	}
-	nBatches := (n + batch - 1) / batch
-	workers := e.workers
-	if workers > nBatches {
-		workers = nBatches
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	classifySem := classifySemFor(caps, workers)
-	options := opts.backendOptions()
-	inds := options.Indicators
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-		next     atomic.Int64
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-	next.Store(-1)
-	partials := make([]metrics.ClassReport, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(part *metrics.ClassReport) {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				bi := int(next.Add(1))
-				if bi >= nBatches {
-					return
-				}
-				start := bi * batch
-				end := start + batch
-				if end > n {
-					end = n
-				}
-				items, err := p.frameItems(start, end, size, opts.Condition, caps.PerceivedFeatures)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if classifySem != nil {
-					select {
-					case classifySem <- struct{}{}:
-					case <-ctx.Done():
-						return
-					}
-				}
-				res, err := b.Classify(ctx, backend.BatchRequest{Items: items, Options: options})
-				if classifySem != nil {
-					<-classifySem
-				}
-				if err != nil {
-					fail(fmt.Errorf("core: %w", err))
-					return
-				}
-				if len(res.Answers) != len(items) {
-					fail(fmt.Errorf("core: backend %s returned %d answer vectors for %d items", b.Name(), len(res.Answers), len(items)))
-					return
-				}
-				for k := range items {
-					if len(res.Answers[k]) != len(inds) {
-						fail(fmt.Errorf("core: backend %s answered %d indicators for %s, want %d", b.Name(), len(res.Answers[k]), items[k].ID, len(inds)))
-						return
-					}
-					var pred [scene.NumIndicators]bool
-					copy(pred[:], res.Answers[k])
-					part.AddVector(pred, p.Study.Frames[start+k].Scene.Presence())
-				}
+	batch := max(b.Capabilities().PreferredBatch, 1)
+	partials := make([]metrics.ClassReport, e.workers)
+	err := e.sweep(ctx, b, opts.Condition, opts.backendOptions(), (n+batch-1)/batch,
+		func(job int) (int, int) {
+			start := job * batch
+			return start, min(start+batch, n)
+		},
+		func(worker, _, start int, answers [][]bool) error {
+			for k, a := range answers {
+				var pred [scene.NumIndicators]bool
+				copy(pred[:], a)
+				partials[worker].AddVector(pred, p.Study.Frames[start+k].Scene.Presence())
 			}
-		}(&partials[w])
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+			return nil
+		})
+	if err != nil {
 		return nil, err
 	}
 	var report metrics.ClassReport
@@ -319,230 +209,121 @@ func (e *Evaluator) EvaluateBackendSet(ctx context.Context, backends []backend.B
 	return reports, nil
 }
 
-// EvaluateModels evaluates one backend per model concurrently and
-// returns their reports keyed by ID — the map-shaped veneer over
-// EvaluateBackendSet the model sweeps use.
-func (e *Evaluator) EvaluateModels(ctx context.Context, backends map[vlm.ModelID]backend.Backend, opts LLMOptions) (map[vlm.ModelID]*metrics.ClassReport, error) {
-	if len(backends) == 0 {
-		return nil, fmt.Errorf("core: no backends to evaluate")
-	}
-	ids := make([]vlm.ModelID, 0, len(backends))
-	for id := range backends {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	ordered := make([]backend.Backend, len(ids))
-	for i, id := range ids {
-		ordered[i] = backends[id]
-	}
-	reports, err := e.EvaluateBackendSet(ctx, ordered, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[vlm.ModelID]*metrics.ClassReport, len(ids))
-	for i, id := range ids {
-		out[id] = reports[i]
-	}
-	return out, nil
-}
-
-// EvaluateAllLLMs evaluates the four built-in models concurrently over
-// the shared caches and returns their reports keyed by ID. Each model
-// backend opens from its one-line declarative spec — the same spec a
-// full experiment names.
-func (e *Evaluator) EvaluateAllLLMs(ctx context.Context, opts LLMOptions) (map[vlm.ModelID]*metrics.ClassReport, error) {
-	backends := make(map[vlm.ModelID]backend.Backend, len(vlm.AllModels()))
-	for _, id := range vlm.AllModels() {
-		b, err := backend.Open(ctx, backend.Spec{Kind: "vlm", Model: string(id)})
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		backends[id] = b
-	}
-	return e.EvaluateModels(ctx, backends, opts)
-}
-
-// RunMajorityVoting selects the top three models from the per-model
-// reports and evaluates their majority vote over the shared caches — no
-// frame is re-rendered or re-perceived after the per-model sweeps. The
-// committee runs through the generic voting composite, the same path a
-// declarative vote-top sweep takes; its reports are bit-identical to the
-// historical in-process committee.
-func (e *Evaluator) RunMajorityVoting(ctx context.Context, reports map[vlm.ModelID]*metrics.ClassReport, opts LLMOptions) (*VotingResult, error) {
-	top, err := ensemble.SelectTop(reports, 3)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	members := make([]backend.Backend, 0, len(top))
-	ids := make([]vlm.ModelID, 0, len(top))
-	for _, s := range top {
-		b, err := backend.Open(ctx, backend.Spec{Kind: "vlm", Model: string(s.ID)})
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		members = append(members, b)
-		ids = append(ids, s.ID)
-	}
-	voting, err := backend.NewVoting("majority voting", members...)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	report, err := e.EvaluateBackend(ctx, voting, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &VotingResult{Committee: ids, Report: report}, nil
-}
-
 // AnalyzeNeighborhood runs a backend over the whole corpus, fuses the
 // four headings of each coordinate with any-vote fusion, and produces
 // tract-level environment scores and health-outcome associations.
-// Coordinate groups fan out across the worker pool (each group is one
-// backend batch fed from the shared caches); results are bit-identical
-// to the serial sweep because fused locations land at their coordinate's
-// index regardless of completion order. The context cancels mid-sweep.
+// Coordinates fan out across the worker pool, one backend batch per
+// coordinate; results are bit-identical to a serial sweep because each
+// fused location lands at its coordinate's index regardless of
+// completion order. The context cancels mid-sweep.
 func (e *Evaluator) AnalyzeNeighborhood(ctx context.Context, b backend.Backend, tractFeet float64) (*NeighborhoodResult, error) {
-	nGroups := e.pipe.Study.Len() / FramesPerCoordinate
-	groups := make([]int, nGroups)
-	for i := range groups {
-		groups[i] = i
-	}
-	locations, err := e.classifyGroups(ctx, b, groups)
+	p := e.pipe
+	locations := make([]analysis.LocationProfile, p.Study.Len()/FramesPerCoordinate)
+	err := e.sweep(ctx, b, "", LLMOptions{}.backendOptions(), len(locations),
+		func(g int) (int, int) { return g * FramesPerCoordinate, (g + 1) * FramesPerCoordinate },
+		func(_, g, start int, answers [][]bool) error {
+			perHeading := make([][scene.NumIndicators]bool, len(answers))
+			for k, a := range answers {
+				copy(perHeading[k][:], a)
+			}
+			fused, err := ensemble.FuseHeadings(perHeading, ensemble.FuseAny)
+			if err != nil {
+				return fmt.Errorf("core: %w", err)
+			}
+			fr := p.Study.Frames[start]
+			locations[g] = analysis.LocationProfile{
+				Coordinate: fr.Scene.Point.Coordinate,
+				County:     fr.County,
+				Presence:   fused,
+			}
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	return e.pipe.neighborhoodAnalysis(locations, tractFeet)
+	return p.neighborhoodAnalysis(locations, tractFeet)
 }
 
-// NeighborhoodAt runs the same downstream analysis over only the corpus
-// coordinates within radiusFeet of center, selected in O(log n) through
-// the pipeline's spatial index instead of classifying the whole corpus.
-// Selection is exact (bit-identical to a linear distance scan) and the
-// chosen groups are classified in ascending coordinate-group order, so
-// the result is deterministic in (backend, center, radius).
-func (e *Evaluator) NeighborhoodAt(ctx context.Context, b backend.Backend, center geo.Coordinate, radiusFeet, tractFeet float64) (*NeighborhoodResult, error) {
-	hits := e.pipe.FrameIndex().Radius(center, radiusFeet)
-	seen := make(map[int]bool, len(hits)/FramesPerCoordinate)
-	groups := make([]int, 0, len(hits)/FramesPerCoordinate)
-	for _, h := range hits {
-		g := h.ID / FramesPerCoordinate
-		if !seen[g] {
-			seen[g] = true
-			groups = append(groups, g)
-		}
-	}
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("core: no corpus coordinates within %.0f ft of (%.5f, %.5f)", radiusFeet, center.Lat, center.Lng)
-	}
-	sort.Ints(groups)
-	locations, err := e.classifyGroups(ctx, b, groups)
-	if err != nil {
-		return nil, err
-	}
-	return e.pipe.neighborhoodAnalysis(locations, tractFeet)
-}
-
-// classifyGroups classifies the given coordinate groups (group g covers
-// corpus frames [g*FramesPerCoordinate, (g+1)*FramesPerCoordinate)) and
-// fuses each group's headings with any-vote fusion. Groups fan out
-// across the worker pool, one backend batch per group fed from the
-// shared caches; locations[i] is groups[i]'s fused profile regardless of
-// completion order. This is the one classification path under both
-// AnalyzeNeighborhood (all groups) and NeighborhoodAt (index-selected
-// groups).
-func (e *Evaluator) classifyGroups(ctx context.Context, b backend.Backend, groups []int) ([]analysis.LocationProfile, error) {
+// sweep is the worker pool under every corpus sweep. Jobs [0,nJobs) fan
+// out across the evaluator's workers; job j classifies the corpus frames
+// [start,end) that span(j) returns as one backend batch, built from the
+// shared render and perception caches at the backend's resolution under
+// capture condition cond. Every batch must come back with one answer
+// vector per frame, each covering every requested indicator, or the
+// sweep fails naming the backend. done receives each job's answers with
+// the index of the worker that ran it (below e.workers), so callers can
+// accumulate per-worker partials without locks. The first error — from
+// a render, the backend, the shape check or done — or the context's
+// cancellation stops all workers and is returned.
+func (e *Evaluator) sweep(ctx context.Context, b backend.Backend, cond string, options backend.Options, nJobs int, span func(job int) (start, end int), done func(worker, job, start int, answers [][]bool) error) error {
 	p := e.pipe
 	caps := b.Capabilities()
 	size := p.renderSizeFor(caps)
-	options := LLMOptions{}.backendOptions()
-	workers := e.workers
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(min(e.workers, nJobs), 1)
 	classifySem := classifySemFor(caps, workers)
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	run := func(worker, job int) error {
+		start, end := span(job)
+		items, err := p.frameItems(start, end, size, cond, caps.PerceivedFeatures)
+		if err != nil {
+			return err
+		}
+		if classifySem != nil {
+			select {
+			case classifySem <- struct{}{}:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
+		res, err := b.Classify(ctx, backend.BatchRequest{Items: items, Options: options})
+		if classifySem != nil {
+			<-classifySem
+		}
+		if err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+		if len(res.Answers) != len(items) {
+			return fmt.Errorf("core: backend %s returned %d answer vectors for %d items", b.Name(), len(res.Answers), len(items))
+		}
+		for k := range items {
+			if len(res.Answers[k]) != len(options.Indicators) {
+				return fmt.Errorf("core: backend %s answered %d indicators for %s, want %d", b.Name(), len(res.Answers[k]), items[k].ID, len(options.Indicators))
+			}
+		}
+		return done(worker, job, start, res.Answers)
+	}
+
 	var (
 		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
 		next     atomic.Int64
 	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
 	next.Store(-1)
-	locations := make([]analysis.LocationProfile, len(groups))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
+			for ctx.Err() == nil {
+				job := int(next.Add(1))
+				if job >= nJobs {
 					return
 				}
-				gi := int(next.Add(1))
-				if gi >= len(groups) {
+				if err := run(w, job); err != nil {
+					errOnce.Do(func() {
+						firstErr = err
+						cancel()
+					})
 					return
-				}
-				start := groups[gi] * FramesPerCoordinate
-				items, err := p.frameItems(start, start+FramesPerCoordinate, size, "", caps.PerceivedFeatures)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if classifySem != nil {
-					select {
-					case classifySem <- struct{}{}:
-					case <-ctx.Done():
-						return
-					}
-				}
-				res, err := b.Classify(ctx, backend.BatchRequest{Items: items, Options: options})
-				if classifySem != nil {
-					<-classifySem
-				}
-				if err != nil {
-					fail(fmt.Errorf("core: %w", err))
-					return
-				}
-				if len(res.Answers) != len(items) {
-					fail(fmt.Errorf("core: backend %s returned %d answer vectors for %d items", b.Name(), len(res.Answers), len(items)))
-					return
-				}
-				perHeading := make([][scene.NumIndicators]bool, 0, FramesPerCoordinate)
-				for k := range items {
-					var v [scene.NumIndicators]bool
-					copy(v[:], res.Answers[k])
-					perHeading = append(perHeading, v)
-				}
-				fused, err := ensemble.FuseHeadings(perHeading, ensemble.FuseAny)
-				if err != nil {
-					fail(fmt.Errorf("core: %w", err))
-					return
-				}
-				fr := p.Study.Frames[start]
-				locations[gi] = analysis.LocationProfile{
-					Coordinate: fr.Scene.Point.Coordinate,
-					County:     fr.County,
-					Presence:   fused,
 				}
 			}
 		}()
 	}
 	wg.Wait()
 	if firstErr != nil {
-		return nil, firstErr
+		return firstErr
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return locations, nil
+	return ctx.Err()
 }

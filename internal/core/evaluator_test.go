@@ -23,7 +23,7 @@ import (
 // implementation: re-render the corpus, perceive inside Classify, and
 // accumulate one report in frame order. The tests below assert the
 // concurrent path reproduces it bit-for-bit.
-func evaluateClassifierSerial(p *Pipeline, c Classifier, opts LLMOptions) (*metrics.ClassReport, error) {
+func evaluateClassifierSerial(p *Pipeline, c backend.Classifier, opts LLMOptions) (*metrics.ClassReport, error) {
 	frames := p.Study.Frames
 	if opts.FrameLimit > 0 && opts.FrameLimit < len(frames) {
 		frames = frames[:opts.FrameLimit]
@@ -70,6 +70,51 @@ func testModel(t *testing.T, id vlm.ModelID) *vlm.Model {
 	return m
 }
 
+// newLocal adapts an in-process classifier to the backend layer, the
+// way the registry's vlm and committee specs do.
+func newLocal(t *testing.T, c backend.Classifier) backend.Backend {
+	t.Helper()
+	b, err := backend.NewLocal("", c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// modelBackends opens one declarative vlm spec per model ID — the
+// backends a model sweep evaluates.
+func modelBackends(t *testing.T, ids ...vlm.ModelID) []backend.Backend {
+	t.Helper()
+	out := make([]backend.Backend, len(ids))
+	for i, id := range ids {
+		b, err := backend.Open(context.Background(), backend.Spec{Kind: "vlm", Model: string(id)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = b
+	}
+	return out
+}
+
+// allModelBackends opens the four evaluated models in vlm.AllModels
+// order.
+func allModelBackends(t *testing.T) []backend.Backend {
+	t.Helper()
+	ids := vlm.AllModels()
+	return modelBackends(t, ids[:]...)
+}
+
+// paperVoting is the voting composite of the paper's top-three models,
+// the backend a declarative vote sweep over the Fig. 5 models builds.
+func paperVoting(t *testing.T) backend.Backend {
+	t.Helper()
+	b, err := backend.NewVoting("majority voting", modelBackends(t, vlm.Gemini15Pro, vlm.Claude37, vlm.Grok2)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func testCommittee(t *testing.T) *ensemble.Committee {
 	t.Helper()
 	committee, err := ensemble.PaperCommittee()
@@ -87,7 +132,7 @@ func TestEvaluatorMatchesSerial(t *testing.T) {
 	p := smallPipeline(t, 12)
 	cases := []struct {
 		name       string
-		classifier Classifier
+		classifier backend.Classifier
 		opts       LLMOptions
 	}{
 		{"gemini", testModel(t, vlm.Gemini15Pro), LLMOptions{}},
@@ -108,7 +153,7 @@ func TestEvaluatorMatchesSerial(t *testing.T) {
 			}
 			for _, workers := range []int{1, 3, 16} {
 				ev := p.NewEvaluator(EvalConfig{Workers: workers})
-				got, err := ev.EvaluateClassifier(context.Background(), tc.classifier, tc.opts)
+				got, err := ev.EvaluateBackend(context.Background(), newLocal(t, tc.classifier), tc.opts)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -121,57 +166,45 @@ func TestEvaluatorMatchesSerial(t *testing.T) {
 }
 
 // TestEvaluateAllLLMsMatchesSerial asserts the concurrent multi-model
-// sweep matches per-model serial references.
+// sweep (EvaluateBackendSet over the four model specs, as a sweep of the
+// experiment runner drives it) matches per-model serial references.
 func TestEvaluateAllLLMsMatchesSerial(t *testing.T) {
 	p := smallPipeline(t, 10)
 	ev := p.NewEvaluator(EvalConfig{Workers: 4})
-	got, err := ev.EvaluateAllLLMs(context.Background(), LLMOptions{})
+	got, err := ev.EvaluateBackendSet(context.Background(), allModelBackends(t), LLMOptions{})
 	if err != nil {
-		t.Fatalf("EvaluateAllLLMs: %v", err)
+		t.Fatalf("EvaluateBackendSet: %v", err)
 	}
 	if len(got) != 4 {
 		t.Fatalf("reports = %d, want 4", len(got))
 	}
-	for _, id := range vlm.AllModels() {
+	for i, id := range vlm.AllModels() {
 		want, err := evaluateClassifierSerial(p, testModel(t, id), LLMOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if *got[id] != *want {
+		if *got[i] != *want {
 			t.Errorf("%s: parallel report diverges from serial", id)
 		}
 	}
 }
 
-// TestRunMajorityVotingMatchesSerial asserts the committee sweep built
-// from the concurrent reports matches the serial committee reference.
+// TestRunMajorityVotingMatchesSerial asserts the voting composite of the
+// top three models, swept through the engine, matches the serial
+// committee reference. Choosing the top three is the experiment
+// runner's vote sweep; the f5 golden run artifacts pin that choice.
 func TestRunMajorityVotingMatchesSerial(t *testing.T) {
 	p := smallPipeline(t, 10)
 	ev := p.NewEvaluator(EvalConfig{Workers: 4})
-	reports, err := ev.EvaluateAllLLMs(context.Background(), LLMOptions{})
+	got, err := ev.EvaluateBackend(context.Background(), paperVoting(t), LLMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	voting, err := ev.RunMajorityVoting(context.Background(), reports, LLMOptions{})
+	want, err := evaluateClassifierSerial(p, testCommittee(t), LLMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(voting.Committee) != 3 {
-		t.Fatalf("committee = %v", voting.Committee)
-	}
-	members := make([]*vlm.Model, 0, 3)
-	for _, id := range voting.Committee {
-		members = append(members, testModel(t, id))
-	}
-	committee, err := ensemble.NewCommittee(members...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := evaluateClassifierSerial(p, committee, LLMOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *voting.Report != *want {
+	if *got != *want {
 		t.Error("voting report diverges from serial committee reference")
 	}
 }
@@ -183,13 +216,17 @@ func TestEvaluatorCancellation(t *testing.T) {
 	ev := p.NewEvaluator(EvalConfig{Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := ev.EvaluateClassifier(ctx, testModel(t, vlm.Gemini15Pro), LLMOptions{})
+	_, err := ev.EvaluateBackend(ctx, newLocal(t, testModel(t, vlm.Gemini15Pro)), LLMOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	_, err = ev.EvaluateAllLLMs(ctx, LLMOptions{})
+	_, err = ev.EvaluateBackendSet(ctx, allModelBackends(t), LLMOptions{})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("EvaluateAllLLMs err = %v, want context.Canceled", err)
+		t.Fatalf("EvaluateBackendSet err = %v, want context.Canceled", err)
+	}
+	_, err = ev.AnalyzeNeighborhood(ctx, newLocal(t, testCommittee(t)), 2000)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("AnalyzeNeighborhood err = %v, want context.Canceled", err)
 	}
 }
 
@@ -204,7 +241,7 @@ func (failingClassifier) Classify(vlm.Request) ([]bool, error) {
 func TestEvaluatorFirstErrorPropagation(t *testing.T) {
 	p := smallPipeline(t, 6)
 	ev := p.NewEvaluator(EvalConfig{Workers: 4})
-	_, err := ev.EvaluateClassifier(context.Background(), failingClassifier{}, LLMOptions{})
+	_, err := ev.EvaluateBackend(context.Background(), newLocal(t, failingClassifier{}), LLMOptions{})
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("expected classification error, got %v", err)
 	}
@@ -216,14 +253,13 @@ func TestEvaluatorFirstErrorPropagation(t *testing.T) {
 func TestEvaluatorSharesRenders(t *testing.T) {
 	p := smallPipeline(t, 8)
 	ev := p.NewEvaluator(EvalConfig{})
-	reports, err := ev.EvaluateAllLLMs(context.Background(), LLMOptions{})
-	if err != nil {
+	if _, err := ev.EvaluateBackendSet(context.Background(), allModelBackends(t), LLMOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.RunMajorityVoting(context.Background(), reports, LLMOptions{}); err != nil {
+	if _, err := ev.EvaluateBackend(context.Background(), paperVoting(t), LLMOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.EvaluateClassifier(context.Background(), testModel(t, vlm.Gemini15Pro), LLMOptions{Language: prompt.Chinese}); err != nil {
+	if _, err := ev.EvaluateBackend(context.Background(), newLocal(t, testModel(t, vlm.Gemini15Pro)), LLMOptions{Language: prompt.Chinese}); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := p.RenderCache().Renders(), int64(p.Study.Len()); got != want {
@@ -384,5 +420,58 @@ func TestEvaluateBackendRendersAtBackendSize(t *testing.T) {
 	// One render per frame at 32px; none at the LLM's 96px.
 	if got, want := p.RenderCache().Renders(), int64(p.Study.Len()); got != want {
 		t.Errorf("renders = %d, want %d", got, want)
+	}
+}
+
+// malformedBackend answers every batch with a deliberately wrong shape.
+type malformedBackend struct {
+	shape func(items int) [][]bool
+}
+
+func (malformedBackend) Name() string                       { return "malformed" }
+func (malformedBackend) Capabilities() backend.Capabilities { return backend.Capabilities{} }
+func (m malformedBackend) Classify(_ context.Context, req backend.BatchRequest) (backend.BatchResult, error) {
+	return backend.BatchResult{Answers: m.shape(len(req.Items))}, nil
+}
+
+// TestSweepRejectsMalformedAnswers: both sweep shapes — per-frame
+// classification and per-coordinate neighborhood fusion — must reject a
+// batch with the wrong number of answer vectors or a vector short of
+// the requested indicators, with an error naming the backend, rather
+// than scoring the missing answers as "absent".
+func TestSweepRejectsMalformedAnswers(t *testing.T) {
+	p := smallPipeline(t, 4)
+	cases := []struct {
+		name  string
+		shape func(items int) [][]bool
+	}{
+		{"missing_vector", func(items int) [][]bool {
+			out := make([][]bool, items-1)
+			for i := range out {
+				out[i] = make([]bool, scene.NumIndicators)
+			}
+			return out
+		}},
+		{"short_vector", func(items int) [][]bool {
+			out := make([][]bool, items)
+			for i := range out {
+				out[i] = make([]bool, scene.NumIndicators-1)
+			}
+			return out
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := malformedBackend{shape: tc.shape}
+			ev := p.NewEvaluator(EvalConfig{Workers: 2})
+			_, err := ev.EvaluateBackend(context.Background(), b, LLMOptions{})
+			if err == nil || !strings.Contains(err.Error(), "malformed") {
+				t.Errorf("EvaluateBackend err = %v, want an error naming the backend", err)
+			}
+			_, err = ev.AnalyzeNeighborhood(context.Background(), b, 2000)
+			if err == nil || !strings.Contains(err.Error(), "malformed") {
+				t.Errorf("AnalyzeNeighborhood err = %v, want an error naming the backend", err)
+			}
+		})
 	}
 }

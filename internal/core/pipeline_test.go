@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"nbhd/internal/dataset"
@@ -89,9 +90,10 @@ func TestEvaluateClassifier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := p.EvaluateClassifier(m, LLMOptions{})
+	ev := p.NewEvaluator(EvalConfig{})
+	report, err := ev.EvaluateBackend(context.Background(), newLocal(t, m), LLMOptions{})
 	if err != nil {
-		t.Fatalf("EvaluateClassifier: %v", err)
+		t.Fatalf("EvaluateBackend: %v", err)
 	}
 	total := 0
 	for _, ind := range scene.Indicators() {
@@ -101,7 +103,7 @@ func TestEvaluateClassifier(t *testing.T) {
 		t.Errorf("report covers %d pairs, want %d", total, p.Study.Len()*scene.NumIndicators)
 	}
 	// FrameLimit caps coverage.
-	limited, err := p.EvaluateClassifier(m, LLMOptions{FrameLimit: 8})
+	limited, err := ev.EvaluateBackend(context.Background(), newLocal(t, m), LLMOptions{FrameLimit: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,24 +117,22 @@ func TestEvaluateAllLLMsAndVoting(t *testing.T) {
 		t.Skip("multi-model sweep in -short mode")
 	}
 	p := smallPipeline(t, 30)
-	reports, err := p.EvaluateAllLLMs(LLMOptions{})
+	ev := p.NewEvaluator(EvalConfig{})
+	reports, err := ev.EvaluateBackendSet(context.Background(), allModelBackends(t), LLMOptions{})
 	if err != nil {
-		t.Fatalf("EvaluateAllLLMs: %v", err)
+		t.Fatalf("EvaluateBackendSet: %v", err)
 	}
 	if len(reports) != 4 {
 		t.Fatalf("reports = %d", len(reports))
 	}
-	voting, err := p.RunMajorityVoting(reports, LLMOptions{})
+	voting, err := ev.EvaluateBackend(context.Background(), paperVoting(t), LLMOptions{})
 	if err != nil {
-		t.Fatalf("RunMajorityVoting: %v", err)
-	}
-	if len(voting.Committee) != 3 {
-		t.Fatalf("committee = %v", voting.Committee)
+		t.Fatalf("voting sweep: %v", err)
 	}
 	// Voting accuracy should be at least competitive with the best
 	// member (exact dominance is asserted at larger scale in the
 	// ensemble package tests).
-	_, _, _, votedAcc := voting.Report.Averages()
+	_, _, _, votedAcc := voting.Averages()
 	if votedAcc < 0.7 {
 		t.Errorf("voting accuracy %.3f implausibly low", votedAcc)
 	}
@@ -154,8 +154,8 @@ func TestEvaluateClassifierLanguagesAndModes(t *testing.T) {
 		{Temperature: 1.5},
 		{TopP: 0.5},
 	} {
-		if _, err := p.EvaluateClassifier(m, opts); err != nil {
-			t.Errorf("EvaluateClassifier(%+v): %v", opts, err)
+		if _, err := p.NewEvaluator(EvalConfig{}).EvaluateBackend(context.Background(), newLocal(t, m), opts); err != nil {
+			t.Errorf("EvaluateBackend(%+v): %v", opts, err)
 		}
 	}
 }
@@ -166,7 +166,7 @@ func TestAnalyzeNeighborhood(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.AnalyzeNeighborhood(committee, 2000)
+	res, err := p.NewEvaluator(EvalConfig{}).AnalyzeNeighborhood(context.Background(), newLocal(t, committee), 2000)
 	if err != nil {
 		t.Fatalf("AnalyzeNeighborhood: %v", err)
 	}

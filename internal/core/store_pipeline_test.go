@@ -4,8 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"nbhd/internal/ensemble"
-	"nbhd/internal/geo"
 	"nbhd/internal/vlm"
 )
 
@@ -30,7 +28,7 @@ func TestPipelineWarmStartZeroRenders(t *testing.T) {
 	}
 
 	cold := storePipeline(t, 6, dir)
-	coldRep, err := cold.EvaluateClassifier(model, LLMOptions{})
+	coldRep, err := cold.NewEvaluator(EvalConfig{}).EvaluateBackend(context.Background(), newLocal(t, model), LLMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +41,7 @@ func TestPipelineWarmStartZeroRenders(t *testing.T) {
 
 	warm := storePipeline(t, 6, dir)
 	defer warm.Close()
-	warmRep, err := warm.EvaluateClassifier(model, LLMOptions{})
+	warmRep, err := warm.NewEvaluator(EvalConfig{}).EvaluateBackend(context.Background(), newLocal(t, model), LLMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,67 +80,5 @@ func TestFrameIndexMatchesStudy(t *testing.T) {
 	}
 	if again := p.FrameIndex(); again != ix {
 		t.Fatal("FrameIndex rebuilt on second call")
-	}
-}
-
-// TestNeighborhoodAtSubsetsCorpus runs the index-selected analysis
-// around one corpus coordinate and checks it covers exactly the groups
-// a linear distance scan selects.
-func TestNeighborhoodAtSubsetsCorpus(t *testing.T) {
-	p := smallPipeline(t, 16)
-	committee, err := ensemble.PaperCommittee()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := localBackend(committee)
-	if err != nil {
-		t.Fatal(err)
-	}
-	center := p.Study.Frames[0].Scene.Point.Coordinate
-	const radius = 30000.0
-	res, err := p.NewEvaluator(EvalConfig{}).NeighborhoodAt(context.Background(), b, center, radius, 2000)
-	if err != nil {
-		t.Fatalf("NeighborhoodAt: %v", err)
-	}
-	// Reference: linear scan over coordinate groups.
-	want := 0
-	for g := 0; g < p.Study.Len()/FramesPerCoordinate; g++ {
-		c := p.Study.Frames[g*FramesPerCoordinate].Scene.Point.Coordinate
-		if center.DistanceFeet(c) <= radius {
-			want++
-		}
-	}
-	if want == 0 {
-		t.Fatal("test radius selects nothing; widen it")
-	}
-	if len(res.Locations) != want {
-		t.Fatalf("NeighborhoodAt locations = %d, linear scan says %d", len(res.Locations), want)
-	}
-	if len(res.Tracts) == 0 || len(res.Scores) != len(res.Tracts) {
-		t.Fatalf("tracts = %d scores = %d", len(res.Tracts), len(res.Scores))
-	}
-	// Each selected location really is within the radius.
-	for _, loc := range res.Locations {
-		if d := center.DistanceFeet(loc.Coordinate); d > radius {
-			t.Fatalf("location at %.1f ft exceeds radius %.0f", d, radius)
-		}
-	}
-}
-
-// TestNeighborhoodAtEmptySelection must fail loudly, not analyze an
-// empty tract set.
-func TestNeighborhoodAtEmptySelection(t *testing.T) {
-	p := smallPipeline(t, 4)
-	committee, err := ensemble.PaperCommittee()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := localBackend(committee)
-	if err != nil {
-		t.Fatal(err)
-	}
-	far := geo.Coordinate{Lat: -45, Lng: 170}
-	if _, err := p.NewEvaluator(EvalConfig{}).NeighborhoodAt(context.Background(), b, far, 10, 2000); err == nil {
-		t.Fatal("NeighborhoodAt with empty selection succeeded")
 	}
 }

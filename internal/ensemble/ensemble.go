@@ -1,16 +1,13 @@
 // Package ensemble implements the paper's majority-voting scheme
 // (§IV-C2): combine per-image Yes/No answers from several LLMs, reaching
 // a prediction "when at least two models agree" (for a three-model
-// committee), plus the model-selection step that picks the top performers
-// to vote. It also provides the multi-frame fusion the paper lists as
+// committee). It also provides the multi-frame fusion the paper lists as
 // future work (§V): combining the four headings of one coordinate.
 package ensemble
 
 import (
 	"fmt"
-	"sort"
 
-	"nbhd/internal/metrics"
 	"nbhd/internal/scene"
 	"nbhd/internal/vlm"
 )
@@ -40,39 +37,6 @@ func Vote(answers [][]bool) ([]bool, error) {
 		out[k] = yes*2 > len(answers)
 	}
 	return out, nil
-}
-
-// ModelScore pairs a model with its average accuracy.
-type ModelScore struct {
-	ID       vlm.ModelID
-	Accuracy float64
-}
-
-// SelectTop ranks models by average accuracy (from their evaluation
-// reports) and returns the best k, the paper's "top three LLMs" step.
-// Ties break lexicographically on the model ID for determinism.
-func SelectTop(reports map[vlm.ModelID]*metrics.ClassReport, k int) ([]ModelScore, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("ensemble: k must be positive, got %d", k)
-	}
-	if len(reports) == 0 {
-		return nil, fmt.Errorf("ensemble: no reports")
-	}
-	scores := make([]ModelScore, 0, len(reports))
-	for id, rep := range reports {
-		_, _, _, acc := rep.Averages()
-		scores = append(scores, ModelScore{ID: id, Accuracy: acc})
-	}
-	sort.Slice(scores, func(a, b int) bool {
-		if scores[a].Accuracy != scores[b].Accuracy {
-			return scores[a].Accuracy > scores[b].Accuracy
-		}
-		return scores[a].ID < scores[b].ID
-	})
-	if k > len(scores) {
-		k = len(scores)
-	}
-	return scores[:k], nil
 }
 
 // FusionStrategy combines the four per-heading answers of one coordinate.

@@ -57,70 +57,6 @@ func TestVoteSingleModel(t *testing.T) {
 	}
 }
 
-func reportWithAccuracy(t *testing.T, acc float64) *metrics.ClassReport {
-	t.Helper()
-	var r metrics.ClassReport
-	// Build each class's confusion so accuracy == acc using 100 samples.
-	right := int(acc * 100)
-	for _, ind := range scene.Indicators() {
-		for i := 0; i < right; i++ {
-			if err := r.Add(ind, true, true); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := right; i < 100; i++ {
-			if err := r.Add(ind, true, false); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return &r
-}
-
-func TestSelectTop(t *testing.T) {
-	reports := map[vlm.ModelID]*metrics.ClassReport{
-		vlm.ChatGPT4oMini: reportWithAccuracy(t, 0.84),
-		vlm.Gemini15Pro:   reportWithAccuracy(t, 0.88),
-		vlm.Claude37:      reportWithAccuracy(t, 0.86),
-		vlm.Grok2:         reportWithAccuracy(t, 0.84),
-	}
-	top, err := SelectTop(reports, 3)
-	if err != nil {
-		t.Fatalf("SelectTop: %v", err)
-	}
-	if len(top) != 3 {
-		t.Fatalf("top = %d entries", len(top))
-	}
-	if top[0].ID != vlm.Gemini15Pro {
-		t.Errorf("best = %s, want Gemini", top[0].ID)
-	}
-	if top[1].ID != vlm.Claude37 {
-		t.Errorf("second = %s, want Claude", top[1].ID)
-	}
-	// ChatGPT and Grok tie at 0.84; lexicographic order puts chatgpt
-	// first.
-	if top[2].ID != vlm.ChatGPT4oMini {
-		t.Errorf("third = %s, want ChatGPT (tie-break)", top[2].ID)
-	}
-	// Oversized k clamps.
-	all, err := SelectTop(reports, 10)
-	if err != nil {
-		t.Fatalf("SelectTop: %v", err)
-	}
-	if len(all) != 4 {
-		t.Errorf("all = %d", len(all))
-	}
-}
-
-func TestSelectTopValidation(t *testing.T) {
-	if _, err := SelectTop(nil, 3); err == nil {
-		t.Error("empty reports accepted")
-	}
-	if _, err := SelectTop(map[vlm.ModelID]*metrics.ClassReport{vlm.Grok2: {}}, 0); err == nil {
-		t.Error("k=0 accepted")
-	}
-}
-
 func TestFuseHeadings(t *testing.T) {
 	perHeading := [][scene.NumIndicators]bool{
 		{true, false, false, false, false, false},
@@ -360,65 +296,6 @@ func TestFuseIdenticalProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestSelectTopAllTiedIsDeterministic: with every model at the same
-// accuracy, repeated selections must return the same lexicographic
-// order — map iteration randomness must never leak into the committee.
-func TestSelectTopAllTiedIsDeterministic(t *testing.T) {
-	reports := map[vlm.ModelID]*metrics.ClassReport{
-		vlm.ChatGPT4oMini: reportWithAccuracy(t, 0.9),
-		vlm.Gemini15Pro:   reportWithAccuracy(t, 0.9),
-		vlm.Claude37:      reportWithAccuracy(t, 0.9),
-		vlm.Grok2:         reportWithAccuracy(t, 0.9),
-	}
-	first, err := SelectTop(reports, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(first); i++ {
-		if first[i-1].ID > first[i].ID {
-			t.Fatalf("tied selection not lexicographic: %v", first)
-		}
-	}
-	for trial := 0; trial < 50; trial++ {
-		again, err := SelectTop(reports, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range first {
-			if again[i].ID != first[i].ID {
-				t.Fatalf("trial %d: order %v differs from %v", trial, again, first)
-			}
-		}
-	}
-}
-
-// TestSelectTopKLargerThanReports: k beyond the report count clamps to
-// all models, still fully ordered.
-func TestSelectTopKLargerThanReports(t *testing.T) {
-	reports := map[vlm.ModelID]*metrics.ClassReport{
-		vlm.Grok2:       reportWithAccuracy(t, 0.8),
-		vlm.Gemini15Pro: reportWithAccuracy(t, 0.9),
-	}
-	top, err := SelectTop(reports, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) != 2 {
-		t.Fatalf("top = %d entries, want 2", len(top))
-	}
-	if top[0].ID != vlm.Gemini15Pro || top[1].ID != vlm.Grok2 {
-		t.Errorf("order = %v", top)
-	}
-	// A single report works for any positive k.
-	solo, err := SelectTop(map[vlm.ModelID]*metrics.ClassReport{vlm.Claude37: reportWithAccuracy(t, 0.7)}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(solo) != 1 || solo[0].ID != vlm.Claude37 {
-		t.Errorf("solo = %v", solo)
 	}
 }
 

@@ -216,3 +216,88 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Error("re-saving the same run changed the report bytes")
 	}
 }
+
+// TestVoteSweepRanking pins the vote sweep's top-k policy: members are
+// the source sweep's backends ranked by average accuracy, ties broken by
+// backend name, k clamped to the source sweep's size, and a negative k
+// rejected. The f5 golden run artifacts pin the paper's top-three
+// committee itself.
+func TestVoteSweepRanking(t *testing.T) {
+	models := map[string]backend.Spec{
+		"chatgpt": {Kind: "vlm", Model: "chatgpt-4o-mini"},
+		"claude":  {Kind: "vlm", Model: "claude-3.7"},
+		"gemini":  {Kind: "vlm", Model: "gemini-1.5-pro"},
+		"grok":    {Kind: "vlm", Model: "grok-2"},
+	}
+	gemini := models["gemini"]
+	cases := []struct {
+		name     string
+		backends map[string]backend.Spec
+		source   []string
+		k        int
+		want     []string // committee in rank order; nil checks the ranking only
+		wantErr  string
+	}{
+		{name: "top_three_of_four", backends: models, source: []string{"chatgpt", "claude", "gemini", "grok"}, k: 3},
+		{name: "default_k_is_three", backends: models, source: []string{"grok", "gemini", "claude", "chatgpt"}, k: 0},
+		{name: "tie_breaks_by_name", backends: map[string]backend.Spec{"b": gemini, "a": gemini}, source: []string{"b", "a"}, k: 1, want: []string{"a"}},
+		{name: "k_larger_than_sweep_clamps", backends: map[string]backend.Spec{"chatgpt": models["chatgpt"], "gemini": gemini}, source: []string{"chatgpt", "gemini"}, k: 5},
+		{name: "negative_k_rejected", backends: models, source: []string{"chatgpt", "gemini"}, k: -1, wantErr: "negative vote_top_k"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := experiment.Spec{
+				Name:     "rank",
+				Dataset:  experiment.DatasetSpec{Coordinates: 4, Seed: 9},
+				Backends: tc.backends,
+				Sweeps: []experiment.SweepSpec{
+					{Name: "models", Backends: tc.source},
+					{Name: "vote", VoteTopOf: "models", VoteTopK: tc.k},
+				},
+			}
+			res, err := experiment.NewRunner(experiment.RunnerConfig{}).Run(context.Background(), spec, nil)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("Run err = %v, want one containing %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			members := res.Sweep("vote").Reports[0].Members
+			if tc.want != nil && !reflect.DeepEqual(members, tc.want) {
+				t.Fatalf("committee = %q, want %q", members, tc.want)
+			}
+			k := tc.k
+			if k == 0 {
+				k = 3
+			}
+			if want := min(k, len(tc.source)); len(members) != want {
+				t.Fatalf("committee = %q, want %d members", members, want)
+			}
+			src := res.Sweep("models")
+			ranksBefore := func(a, b string) bool {
+				_, _, _, accA := src.Report(a).Averages()
+				_, _, _, accB := src.Report(b).Averages()
+				if accA != accB {
+					return accA > accB
+				}
+				return a < b
+			}
+			in := make(map[string]bool, len(members))
+			for i, m := range members {
+				in[m] = true
+				if i > 0 && !ranksBefore(members[i-1], m) {
+					t.Errorf("committee %q out of rank order at %q", members, m)
+				}
+			}
+			last := members[len(members)-1]
+			for _, name := range tc.source {
+				if !in[name] && ranksBefore(name, last) {
+					t.Errorf("%q ranks above committee member %q but was left out", name, last)
+				}
+			}
+		})
+	}
+}

@@ -3,141 +3,92 @@ package experiment_test
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
-	"nbhd/internal/core"
-	"nbhd/internal/ensemble"
 	"nbhd/internal/experiment"
-	"nbhd/internal/vlm"
 )
 
-// TestRunnerBitIdenticalToLegacyPath pins the API redesign: the same
-// spec and seed replayed through the declarative runner must produce
-// byte-identical report JSON to the legacy Pipeline.EvaluateAllLLMs /
-// RunMajorityVoting path. Both paths are encoded with the artifact
-// store's deterministic encoder under the same labels, so any
-// divergence in a confusion cell, a derived metric, committee
-// selection, or encoding order fails the byte comparison.
-func TestRunnerBitIdenticalToLegacyPath(t *testing.T) {
-	const coords, seed = 10, 5
+// goldenRuns are the paper runs whose saved artifacts are pinned as
+// committed bytes under testdata/golden/<name>/: the Fig. 5 per-model
+// sweep and its top-three vote, the committee-driven neighborhood
+// analysis, and a reduced robustness matrix (every backend kind under
+// every capture condition, supervised kinds trained for one epoch).
+var goldenRuns = []struct {
+	name string
+	cfg  experiment.BuiltinConfig
+}{
+	{"f5", experiment.BuiltinConfig{Coordinates: 10, Seed: 5}},
+	{"neighborhood", experiment.BuiltinConfig{Coordinates: 8, Seed: 5}},
+	{"robustness", experiment.BuiltinConfig{Coordinates: 4, Seed: 5, TrainEpochs: 1}},
+}
 
-	// Legacy path: the demoted pipeline wrappers.
-	pipe, err := core.NewPipeline(core.Config{Coordinates: coords, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyReports, err := pipe.EvaluateAllLLMs(core.LLMOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyVote, err := pipe.RunMajorityVoting(legacyReports, core.LLMOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyModels := experiment.SweepResult{Name: "f5:models"}
-	for _, id := range vlm.AllModels() {
-		legacyModels.Reports = append(legacyModels.Reports, experiment.BackendReport{
-			Backend: string(id),
-			Report:  legacyReports[id],
+// TestRunArtifactsMatchGolden runs each golden spec through the runner,
+// saves it with Store.Save, and compares every sweep and analysis file
+// byte for byte against the committed copy. manifest.json is left out:
+// it carries the run's wall-clock timestamps. Any drift in a confusion
+// cell, a derived metric, committee selection, the analysis chain or
+// the encoding fails here.
+func TestRunArtifactsMatchGolden(t *testing.T) {
+	for _, tc := range goldenRuns {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, err := experiment.Builtin(tc.name, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := experiment.NewRunner(experiment.RunnerConfig{}).Run(context.Background(), spec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			store, err := experiment.NewStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			dir, err := store.Save("", res)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			goldenDir := filepath.Join("testdata", "golden", tc.name)
+			want, err := experiment.ListRunArtifacts(goldenDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := experiment.ListRunArtifacts(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = withoutManifest(got)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("artifact files = %q, golden has %q", got, want)
+			}
+			for _, name := range want {
+				wantBytes, err := os.ReadFile(filepath.Join(goldenDir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotBytes, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(gotBytes, wantBytes) {
+					t.Errorf("%s diverged from the golden copy:\ngot:\n%s\ngolden:\n%s", name, gotBytes, wantBytes)
+				}
+			}
 		})
-	}
-	members := make([]string, len(legacyVote.Committee))
-	for i, id := range legacyVote.Committee {
-		members[i] = string(id)
-	}
-	legacyVoting := experiment.SweepResult{
-		Name: "f5:voting",
-		Reports: []experiment.BackendReport{{
-			Backend: "f5:voting",
-			Members: members,
-			Report:  legacyVote.Report,
-		}},
-	}
-	legacyModelsJSON, err := experiment.EncodeSweepReports(legacyModels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyVotingJSON, err := experiment.EncodeSweepReports(legacyVoting)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// New path: the built-in Fig. 5 spec through the runner.
-	spec, err := experiment.Builtin("f5", experiment.BuiltinConfig{Coordinates: coords, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := experiment.NewRunner(experiment.RunnerConfig{}).Run(context.Background(), spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newModelsJSON, err := experiment.EncodeSweepReports(*res.Sweep("f5:models"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	newVotingJSON, err := experiment.EncodeSweepReports(*res.Sweep("f5:voting"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !bytes.Equal(legacyModelsJSON, newModelsJSON) {
-		t.Errorf("per-model report JSON diverged between legacy and runner paths:\nlegacy:\n%s\nrunner:\n%s", legacyModelsJSON, newModelsJSON)
-	}
-	if !bytes.Equal(legacyVotingJSON, newVotingJSON) {
-		t.Errorf("voting report JSON diverged between legacy and runner paths:\nlegacy:\n%s\nrunner:\n%s", legacyVotingJSON, newVotingJSON)
 	}
 }
 
-// TestRunnerAnalysisMatchesLegacyAnalyze pins the neighborhood-analysis
-// step the same way: the declarative analysis and the legacy
-// Pipeline.AnalyzeNeighborhood wrapper must agree exactly.
-func TestRunnerAnalysisMatchesLegacyAnalyze(t *testing.T) {
-	const coords, seed = 8, 5
-
-	pipe, err := core.NewPipeline(core.Config{Coordinates: coords, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	committee, err := ensemble.PaperCommittee()
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := pipe.AnalyzeNeighborhood(committee, 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	spec, err := experiment.Builtin("neighborhood", experiment.BuiltinConfig{Coordinates: coords, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := experiment.NewRunner(experiment.RunnerConfig{}).Run(context.Background(), spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := res.Analysis("neighborhood").Result
-	if len(got.Locations) != len(legacy.Locations) {
-		t.Fatalf("locations: got %d, legacy %d", len(got.Locations), len(legacy.Locations))
-	}
-	for i := range got.Locations {
-		if got.Locations[i] != legacy.Locations[i] {
-			t.Errorf("location %d diverged: got %+v, legacy %+v", i, got.Locations[i], legacy.Locations[i])
+// withoutManifest drops manifest.json from a run's artifact list.
+func withoutManifest(files []string) []string {
+	out := files[:0]
+	for _, f := range files {
+		if f != "manifest.json" {
+			out = append(out, f)
 		}
 	}
-	if len(got.Tracts) != len(legacy.Tracts) {
-		t.Fatalf("tracts: got %d, legacy %d", len(got.Tracts), len(legacy.Tracts))
-	}
-	for i := range got.Tracts {
-		if got.Tracts[i] != legacy.Tracts[i] {
-			t.Errorf("tract %d diverged: got %+v, legacy %+v", i, got.Tracts[i], legacy.Tracts[i])
-		}
-	}
-	if len(got.Associations) != len(legacy.Associations) {
-		t.Fatalf("associations: got %d, legacy %d", len(got.Associations), len(legacy.Associations))
-	}
-	for i := range got.Associations {
-		if got.Associations[i] != legacy.Associations[i] {
-			t.Errorf("association %d diverged: got %+v, legacy %+v", i, got.Associations[i], legacy.Associations[i])
-		}
-	}
+	return out
 }

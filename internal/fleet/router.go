@@ -148,40 +148,29 @@ func (rt *Router) nextReqID() string {
 	return fmt.Sprintf("flt-%06d", rt.reqSeq.Add(1))
 }
 
-// writeError emits the llmserve-shaped error body both services speak.
-func writeError(w http.ResponseWriter, status int, typ, msg, reqID string) {
-	var body llmserve.ErrorResponse
-	body.Error.Message = msg
-	body.Error.Type = typ
-	body.Error.RequestID = reqID
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
 // write503 sheds at the router itself (no healthy replica, all
 // candidates unreachable), advertising the configured Retry-After.
 func (rt *Router) write503(w http.ResponseWriter, msg, reqID string) {
 	if rt.retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(rt.retryAfter))
 	}
-	writeError(w, http.StatusServiceUnavailable, "overloaded", msg, reqID)
+	llmserve.WriteError(w, http.StatusServiceUnavailable, "overloaded", msg, reqID)
 }
 
 func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request) {
 	reqID := rt.nextReqID()
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
+		llmserve.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
 		return
 	}
 	body, req, herr := readBody[serve.ClassifyRequest](r, rt.maxBody)
 	if herr != "" {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", herr, reqID)
+		llmserve.WriteError(w, http.StatusBadRequest, "invalid_request_error", herr, reqID)
 		return
 	}
 	key, err := serve.RequestShardKey(req, rt.quantized[req.Backend])
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", err.Error(), reqID)
+		llmserve.WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error(), reqID)
 		return
 	}
 	rt.forward(w, r, key, body, reqID)
@@ -190,17 +179,17 @@ func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 	reqID := rt.nextReqID()
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
+		llmserve.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
 		return
 	}
 	body, req, herr := readBody[serve.NeighborhoodRequest](r, rt.maxBody)
 	if herr != "" {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", herr, reqID)
+		llmserve.WriteError(w, http.StatusBadRequest, "invalid_request_error", herr, reqID)
 		return
 	}
 	key, err := serve.NeighborhoodShardKey(req, rt.quantized[req.Backend])
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", err.Error(), reqID)
+		llmserve.WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error(), reqID)
 		return
 	}
 	rt.forward(w, r, key, body, reqID)
@@ -209,7 +198,7 @@ func (rt *Router) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleNearest(w http.ResponseWriter, r *http.Request) {
 	reqID := rt.nextReqID()
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use GET", reqID)
+		llmserve.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use GET", reqID)
 		return
 	}
 	// Nearest queries touch no per-key gateway state (the spatial index
@@ -307,7 +296,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, bo
 		}
 		req, err := http.NewRequestWithContext(r.Context(), r.Method, url+r.URL.RequestURI(), payload)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "router_error", err.Error(), reqID)
+			llmserve.WriteError(w, http.StatusInternalServerError, "router_error", err.Error(), reqID)
 			return
 		}
 		if ct := r.Header.Get("Content-Type"); ct != "" {

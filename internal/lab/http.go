@@ -52,7 +52,7 @@ func (l *Lab) handleRun(w http.ResponseWriter, r *http.Request) {
 	reqID := l.requestID()
 	rec, ok := l.Run(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown_run",
+		llmserve.WriteError(w, http.StatusNotFound, "unknown_run",
 			fmt.Sprintf("unknown run %q", r.PathValue("id")), reqID)
 		return
 	}
@@ -72,14 +72,14 @@ func (l *Lab) handleEnqueue(w http.ResponseWriter, r *http.Request) {
 	reqID := l.requestID()
 	var req EnqueueRequest
 	if herr := decodeBody(r, &req); herr != nil {
-		writeError(w, herr.status, herr.typ, herr.msg, reqID)
+		llmserve.WriteError(w, herr.status, herr.typ, herr.msg, reqID)
 		return
 	}
 	var runID string
 	var err error
 	switch {
 	case req.Job != "" && len(req.Spec) > 0:
-		writeError(w, http.StatusBadRequest, "invalid_request_error",
+		llmserve.WriteError(w, http.StatusBadRequest, "invalid_request_error",
 			"set either job or spec, not both", reqID)
 		return
 	case req.Job != "":
@@ -87,7 +87,7 @@ func (l *Lab) handleEnqueue(w http.ResponseWriter, r *http.Request) {
 	case len(req.Spec) > 0:
 		runID, err = l.EnqueueSpec(req.Spec)
 	default:
-		writeError(w, http.StatusBadRequest, "invalid_request_error",
+		llmserve.WriteError(w, http.StatusBadRequest, "invalid_request_error",
 			"body needs a job name or an inline spec", reqID)
 		return
 	}
@@ -100,7 +100,7 @@ func (l *Lab) handleEnqueue(w http.ResponseWriter, r *http.Request) {
 		case strings.Contains(err.Error(), "unknown job"):
 			status, typ = http.StatusNotFound, "unknown_job"
 		}
-		writeError(w, status, typ, err.Error(), reqID)
+		llmserve.WriteError(w, status, typ, err.Error(), reqID)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, map[string]string{"run": runID, "request_id": reqID})
@@ -115,7 +115,7 @@ func (l *Lab) handlePromote(w http.ResponseWriter, r *http.Request) {
 	reqID := l.requestID()
 	var req runRef
 	if herr := decodeBody(r, &req); herr != nil {
-		writeError(w, herr.status, herr.typ, herr.msg, reqID)
+		llmserve.WriteError(w, herr.status, herr.typ, herr.msg, reqID)
 		return
 	}
 	job, err := l.Promote(req.Run)
@@ -124,7 +124,7 @@ func (l *Lab) handlePromote(w http.ResponseWriter, r *http.Request) {
 		if strings.Contains(err.Error(), "unknown run") {
 			status, typ = http.StatusNotFound, "unknown_run"
 		}
-		writeError(w, status, typ, err.Error(), reqID)
+		llmserve.WriteError(w, status, typ, err.Error(), reqID)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"job": job, "baseline": req.Run, "request_id": reqID})
@@ -134,7 +134,7 @@ func (l *Lab) handleCancel(w http.ResponseWriter, r *http.Request) {
 	reqID := l.requestID()
 	var req runRef
 	if herr := decodeBody(r, &req); herr != nil {
-		writeError(w, herr.status, herr.typ, herr.msg, reqID)
+		llmserve.WriteError(w, herr.status, herr.typ, herr.msg, reqID)
 		return
 	}
 	if err := l.Cancel(req.Run); err != nil {
@@ -142,7 +142,7 @@ func (l *Lab) handleCancel(w http.ResponseWriter, r *http.Request) {
 		if strings.Contains(err.Error(), "unknown run") {
 			status, typ = http.StatusNotFound, "unknown_run"
 		}
-		writeError(w, status, typ, err.Error(), reqID)
+		llmserve.WriteError(w, status, typ, err.Error(), reqID)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"run": req.Run, "status": "canceling", "request_id": reqID})
@@ -182,16 +182,6 @@ func decodeBody(r *http.Request, v any) *httpError {
 		return &httpError{http.StatusBadRequest, "invalid_request_error", "empty or malformed JSON body: " + err.Error()}
 	}
 	return nil
-}
-
-func writeError(w http.ResponseWriter, status int, typ, msg, reqID string) {
-	var body llmserve.ErrorResponse
-	body.Error.Message = msg
-	body.Error.Type = typ
-	body.Error.RequestID = reqID
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -217,7 +217,11 @@ func (s *Server) RequestsServed() int {
 	return s.served
 }
 
-func writeError(w http.ResponseWriter, status int, typ, msg, reqID string) {
+// WriteError writes the OpenAI-shaped JSON error body every HTTP service
+// in this repository speaks: the gateway, the fleet router, the lab
+// control plane and this server. reqID echoes the request's ID so a
+// client can quote it when reporting a failure.
+func WriteError(w http.ResponseWriter, status int, typ, msg, reqID string) {
 	var body ErrorResponse
 	body.Error.Message = msg
 	body.Error.Type = typ
@@ -227,7 +231,7 @@ func writeError(w http.ResponseWriter, status int, typ, msg, reqID string) {
 	_ = json.NewEncoder(w).Encode(body)
 }
 
-// write429 is writeError for rate-limit responses: it advertises the
+// write429 is WriteError for rate-limit responses: it advertises the
 // configured Retry-After so clients pace their retries instead of
 // hammering the doubling schedule.
 func (s *Server) write429(w http.ResponseWriter, typ, msg, reqID string) {
@@ -238,12 +242,12 @@ func (s *Server) write429(w http.ResponseWriter, typ, msg, reqID string) {
 	if secs > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	}
-	writeError(w, http.StatusTooManyRequests, typ, msg, reqID)
+	WriteError(w, http.StatusTooManyRequests, typ, msg, reqID)
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use GET", "")
+		WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use GET", "")
 		return
 	}
 	var list ModelList
@@ -305,18 +309,18 @@ func (s *Server) authorize(r *http.Request) bool {
 func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {
 	reqID := s.nextRequestID()
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
+		WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
 		return
 	}
 	if !s.authorize(r) {
-		writeError(w, http.StatusUnauthorized, "authentication_error", "missing or invalid API key", reqID)
+		WriteError(w, http.StatusUnauthorized, "authentication_error", "missing or invalid API key", reqID)
 		return
 	}
 	if status := s.injectFailure(); status != 0 {
 		if status == http.StatusTooManyRequests {
 			s.write429(w, "server_error", "injected failure", reqID)
 		} else {
-			writeError(w, status, "server_error", "injected failure", reqID)
+			WriteError(w, status, "server_error", "injected failure", reqID)
 		}
 		return
 	}
@@ -330,24 +334,24 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {
 
 	var req ChatRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "malformed JSON: "+err.Error(), reqID)
+		WriteError(w, http.StatusBadRequest, "invalid_request_error", "malformed JSON: "+err.Error(), reqID)
 		return
 	}
 	model, ok := s.models[vlm.ModelID(req.Model)]
 	if !ok {
-		writeError(w, http.StatusNotFound, "model_not_found", fmt.Sprintf("unknown model %q", req.Model), reqID)
+		WriteError(w, http.StatusNotFound, "model_not_found", fmt.Sprintf("unknown model %q", req.Model), reqID)
 		return
 	}
 	text, img, err := s.extractContent(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", err.Error(), reqID)
+		WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error(), reqID)
 		return
 	}
 
 	lang := prompt.DetectLanguage(text)
 	inds := prompt.QuestionsIn(text, lang)
 	if len(inds) == 0 {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "prompt contains no recognizable indicator question", reqID)
+		WriteError(w, http.StatusBadRequest, "invalid_request_error", "prompt contains no recognizable indicator question", reqID)
 		return
 	}
 	mode := prompt.Parallel
@@ -364,7 +368,7 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {
 		Nonce:       req.Nonce,
 	})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", err.Error(), reqID)
+		WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error(), reqID)
 		return
 	}
 

@@ -321,23 +321,13 @@ func badRequest(format string, args ...any) *httpError {
 	return &httpError{status: http.StatusBadRequest, typ: "invalid_request_error", msg: fmt.Sprintf(format, args...)}
 }
 
-func writeError(w http.ResponseWriter, status int, typ, msg, reqID string) {
-	var body llmserve.ErrorResponse
-	body.Error.Message = msg
-	body.Error.Type = typ
-	body.Error.RequestID = reqID
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
 // write503 sheds a request, advertising the configured Retry-After (the
 // contract documented in the package comment).
 func (s *Server) write503(w http.ResponseWriter, msg, reqID string) {
 	if secs := s.cfg.RetryAfterSeconds; secs > 0 {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
 	}
-	writeError(w, http.StatusServiceUnavailable, "overloaded", msg, reqID)
+	llmserve.WriteError(w, http.StatusServiceUnavailable, "overloaded", msg, reqID)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -349,7 +339,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	reqID := fmt.Sprintf("srv-%06d", s.reqSeq.Add(1))
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
+		llmserve.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
 		return
 	}
 	var req ClassifyRequest
@@ -357,23 +347,23 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	// base64 (4/3 expansion) plus small JSON scaffolding.
 	limit := int64(s.cfg.MaxImageBytes)*2 + 1<<20
 	if err := json.NewDecoder(io.LimitReader(r.Body, limit)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "empty or malformed JSON body: "+err.Error(), reqID)
+		llmserve.WriteError(w, http.StatusBadRequest, "invalid_request_error", "empty or malformed JSON body: "+err.Error(), reqID)
 		return
 	}
 	rt, ok := s.routes[req.Backend]
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown_backend",
+		llmserve.WriteError(w, http.StatusNotFound, "unknown_backend",
 			fmt.Sprintf("unknown backend %q (serving: %v)", req.Backend, s.names), reqID)
 		return
 	}
 	opts, herr := requestOptions(&req)
 	if herr != nil {
-		writeError(w, herr.status, herr.typ, herr.msg, reqID)
+		llmserve.WriteError(w, herr.status, herr.typ, herr.msg, reqID)
 		return
 	}
 	item, frameKey, herr := s.resolveFrame(rt, &req)
 	if herr != nil {
-		writeError(w, herr.status, herr.typ, herr.msg, reqID)
+		llmserve.WriteError(w, herr.status, herr.typ, herr.msg, reqID)
 		return
 	}
 
@@ -420,7 +410,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 			s.write503(w, "server is shutting down", reqID)
 			return
 		}
-		writeError(w, http.StatusInternalServerError, "backend_error", err.Error(), reqID)
+		llmserve.WriteError(w, http.StatusInternalServerError, "backend_error", err.Error(), reqID)
 		return
 	}
 	if s.results != nil {

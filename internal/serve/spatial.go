@@ -3,8 +3,9 @@ package serve
 // Spatial endpoints: GET /v1/nearest answers "which corpus coordinates
 // are closest to here" from the gateway's spatial index, and POST
 // /v1/neighborhood classifies every coordinate within a radius and
-// fuses each coordinate's four headings — the serving-time counterpart
-// of the core evaluator's NeighborhoodAt. Both require a dataset
+// fuses each coordinate's four headings with any-vote fusion, the same
+// fusion the core evaluator's AnalyzeNeighborhood applies to the whole
+// corpus. Both require a dataset
 // (Options.Frames); index queries are exact, bit-identical to a linear
 // scan with geo.Coordinate.DistanceFeet (see internal/geoindex).
 //
@@ -27,6 +28,7 @@ import (
 	"nbhd/internal/backend"
 	"nbhd/internal/geo"
 	"nbhd/internal/geoindex"
+	"nbhd/internal/llmserve"
 )
 
 // framesPerCoordinate mirrors the corpus layout: dataset.BuildStudy
@@ -68,29 +70,29 @@ func groupFrames(g int) []int {
 func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) {
 	reqID := fmt.Sprintf("srv-%06d", s.reqSeq.Add(1))
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use GET", reqID)
+		llmserve.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use GET", reqID)
 		return
 	}
 	if s.frames == nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "this gateway serves no dataset; spatial queries are unavailable", reqID)
+		llmserve.WriteError(w, http.StatusBadRequest, "invalid_request_error", "this gateway serves no dataset; spatial queries are unavailable", reqID)
 		return
 	}
 	q := r.URL.Query()
 	lat, err := strconv.ParseFloat(q.Get("lat"), 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "lat must be a float: "+q.Get("lat"), reqID)
+		llmserve.WriteError(w, http.StatusBadRequest, "invalid_request_error", "lat must be a float: "+q.Get("lat"), reqID)
 		return
 	}
 	lng, err := strconv.ParseFloat(q.Get("lng"), 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "lng must be a float: "+q.Get("lng"), reqID)
+		llmserve.WriteError(w, http.StatusBadRequest, "invalid_request_error", "lng must be a float: "+q.Get("lng"), reqID)
 		return
 	}
 	k := 1
 	if ks := q.Get("k"); ks != "" {
 		k, err = strconv.Atoi(ks)
 		if err != nil || k < 1 {
-			writeError(w, http.StatusBadRequest, "invalid_request_error", "k must be a positive integer: "+ks, reqID)
+			llmserve.WriteError(w, http.StatusBadRequest, "invalid_request_error", "k must be a positive integer: "+ks, reqID)
 			return
 		}
 	}
@@ -117,30 +119,30 @@ func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 	reqID := fmt.Sprintf("srv-%06d", s.reqSeq.Add(1))
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
+		llmserve.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
 		return
 	}
 	var req NeighborhoodRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "empty or malformed JSON body: "+err.Error(), reqID)
+		llmserve.WriteError(w, http.StatusBadRequest, "invalid_request_error", "empty or malformed JSON body: "+err.Error(), reqID)
 		return
 	}
 	rt, ok := s.routes[req.Backend]
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown_backend",
+		llmserve.WriteError(w, http.StatusNotFound, "unknown_backend",
 			fmt.Sprintf("unknown backend %q (serving: %v)", req.Backend, s.names), reqID)
 		return
 	}
 	if s.frames == nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "this gateway serves no dataset; spatial queries are unavailable", reqID)
+		llmserve.WriteError(w, http.StatusBadRequest, "invalid_request_error", "this gateway serves no dataset; spatial queries are unavailable", reqID)
 		return
 	}
 	if req.Lat == nil || req.Lng == nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "lat and lng are required", reqID)
+		llmserve.WriteError(w, http.StatusBadRequest, "invalid_request_error", "lat and lng are required", reqID)
 		return
 	}
 	if req.RadiusFeet <= 0 {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", fmt.Sprintf("radius_feet must be positive, got %v", req.RadiusFeet), reqID)
+		llmserve.WriteError(w, http.StatusBadRequest, "invalid_request_error", fmt.Sprintf("radius_feet must be positive, got %v", req.RadiusFeet), reqID)
 		return
 	}
 	opts, herr := requestOptions(&ClassifyRequest{
@@ -152,7 +154,7 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 		Nonce:       req.Nonce,
 	})
 	if herr != nil {
-		writeError(w, herr.status, herr.typ, herr.msg, reqID)
+		llmserve.WriteError(w, herr.status, herr.typ, herr.msg, reqID)
 		return
 	}
 	center := geo.Coordinate{Lat: *req.Lat, Lng: *req.Lng}
@@ -196,7 +198,7 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 			s.write503(w, "server is shutting down", reqID)
 			return
 		}
-		writeError(w, http.StatusInternalServerError, "backend_error", err.Error(), reqID)
+		llmserve.WriteError(w, http.StatusInternalServerError, "backend_error", err.Error(), reqID)
 		return
 	}
 	counts := make(map[string]int, len(opts.Indicators))
