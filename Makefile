@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke nbhdbench-smoke bench-store bench-quant run-experiment serve-smoke fleet-smoke lab-smoke robustness-smoke fmt fmt-check vet godoc-check check
+.PHONY: all build test race fuzz-smoke bench bench-smoke nbhdbench-smoke bench-store bench-quant run-experiment serve-smoke fleet-smoke lab-smoke robustness-smoke fmt fmt-check vet godoc-check check
 
 all: build
 
@@ -17,6 +17,13 @@ test:
 # the default 10m package timeout on small runners.
 race:
 	$(GO) test -race -timeout 45m ./...
+
+# A short fuzz run of the packed GEMM: random shapes and B offset tables
+# through every microkernel the host supports, checked bit for bit
+# against the reference. The assembly kernels load B with no bounds
+# check, so this is the target that exercises those loads.
+fuzz-smoke:
+	$(GO) test -run=NONE -fuzz=FuzzPackedGEMM -fuzztime=15s ./internal/tensor
 
 # Full paper-benchmark sweep (slow; prints every table and figure).
 bench:

@@ -51,8 +51,9 @@
 // (internal/tensor + internal/nn): register-blocked parallel GEMM
 // kernels, batched im2col convolution for training (one GEMM per batch),
 // a size-keyed scratch pool that makes steady-state training steps
-// allocation-free, and a stateless Infer path — sample-tiled convolution
-// fused with its activation and pooling — that lets the engine run
+// allocation-free, and a stateless Infer path — implicit-GEMM
+// convolution that reads the padded sample in place, fused with its
+// activation and pooling — that lets the engine run
 // detector/CNN inference concurrently. Kernel partitioning preserves per-element
 // accumulation order, so training curves and every reported metric are
 // bit-identical to the reference implementation (see README.md's

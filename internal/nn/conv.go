@@ -15,8 +15,11 @@ import (
 // im2col, col2im, and the output scatter fan across workers per sample;
 // all scratch comes from the shared tensor pool and is released when
 // Backward completes, so nothing im2col-sized survives the training
-// step. Inference (Infer, and Sequential.Infer through inferBlock) is
-// sample-tiled and fused instead; see inferTiled.
+// step. Inference (Infer, and Sequential.Infer through inferBlock) of a
+// stride-1 convolution is a per-sample implicit GEMM with a fused
+// epilogue instead, and unrolls nothing; see inferTiled. Strided convs
+// (no network in this repository builds one) infer through the batched
+// training kernels, unfused.
 //
 // Bit-identity: each output element's dot product walks the Cin*K*K
 // (forward) or OutChannels (input-gradient) axis in the same order as the
@@ -112,28 +115,38 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 		tensor.PutScratch(c.cols)
 		c.cols = nil
 	}
-	k := c.KernelSize
-	cols := tensor.GetScratch(c.InChannels*k*k, d.n*d.outH*d.outW)
-	im2colInto(x.Data, cols.Data, c.InChannels, k, c.Stride, c.Pad, d)
-	gemm := tensor.GetScratch(c.OutChannels, d.n*d.outH*d.outW)
-	if err := tensor.MatMulInto(gemm, c.weight.Value, cols); err != nil {
-		tensor.PutScratch(cols)
-		tensor.PutScratch(gemm)
+	out, cols, err := c.batched(x, d)
+	if err != nil {
 		return nil, fmt.Errorf("nn: conv forward: %w", err)
 	}
-	out := tensor.GetScratch(d.n, c.OutChannels, d.outH, d.outW)
-	c.scatterOutput(gemm, out, d)
-	tensor.PutScratch(gemm)
 	c.cols = cols
 	c.inN, c.inH, c.inW = d.n, d.h, d.w
 	c.outH, c.outW = d.outH, d.outW
 	return out, nil
 }
 
+// batched runs the convolution for the whole batch at once: im2col
+// unrolls it into one (Cin*K*K, N*outH*outW) matrix, one GEMM multiplies
+// it by the weights, and scatterOutput adds the bias into NCHW. It
+// returns the output and the im2col matrix, both pool scratch.
+func (c *Conv2D) batched(x *tensor.Tensor, d convDims) (out, cols *tensor.Tensor, err error) {
+	k := c.KernelSize
+	cols = tensor.GetScratch(c.InChannels*k*k, d.n*d.outH*d.outW)
+	im2colInto(x.Data, cols.Data, c.InChannels, k, c.Stride, c.Pad, d)
+	gemm := tensor.GetScratch(c.OutChannels, d.n*d.outH*d.outW)
+	defer tensor.PutScratch(gemm)
+	if err := tensor.MatMulInto(gemm, c.weight.Value, cols); err != nil {
+		tensor.PutScratch(cols)
+		return nil, nil, err
+	}
+	out = tensor.GetScratch(d.n, c.OutChannels, d.outH, d.outW)
+	c.scatterOutput(gemm, out, d)
+	return out, cols, nil
+}
+
 // Infer computes the convolution without touching the training cache
-// through the sample-tiled inference path (see inferTiled) with a
-// bias-only epilogue; it is safe for concurrent use and releases all
-// scratch before returning.
+// (see inferBlock) with a bias-only epilogue; it is safe for concurrent
+// use and releases all scratch before returning.
 func (c *Conv2D) Infer(x *tensor.Tensor) (*tensor.Tensor, error) {
 	y, _, err := c.inferBlock(x, nil)
 	return y, err
@@ -144,11 +157,20 @@ func (c *Conv2D) Infer(x *tensor.Tensor) (*tensor.Tensor, error) {
 // directly after it, then a 2x2/stride-2 MaxPool2D after that (when the
 // conv output is at least 2x2). It returns the output and the number of
 // layers consumed, 1 to 3. Sequential.Infer calls it for every Conv2D,
-// so fusion follows from the layer sequence alone.
+// so fusion follows from the layer sequence alone. A strided conv runs
+// the batched training kernels and fuses nothing.
 func (c *Conv2D) inferBlock(x *tensor.Tensor, next []Layer) (*tensor.Tensor, int, error) {
 	d, err := c.checkInput(x)
 	if err != nil {
 		return nil, 1, err
+	}
+	if c.Stride != 1 {
+		out, cols, err := c.batched(x, d)
+		if err != nil {
+			return nil, 1, fmt.Errorf("nn: conv infer: %w", err)
+		}
+		tensor.PutScratch(cols)
+		return out, 1, nil
 	}
 	used := 1
 	var relu *LeakyReLU
@@ -169,21 +191,38 @@ func (c *Conv2D) inferBlock(x *tensor.Tensor, next []Layer) (*tensor.Tensor, int
 	return y, used, err
 }
 
-// inferTiled is the whole f32 inference convolution, one sample at a
-// time: im2col writes the sample straight into the packed-B panel of
-// the GEMM (so no packing pass runs and the panel stays in cache), the
-// microkernels run on the calling goroutine, and the epilogue adds the
-// bias, then applies relu (if non-nil), then a 2x2/stride-2 max pool
-// (if pool; requires relu), writing the final NCHW output. Samples fan
-// across workers, each with its own panel.
+// inferTiled is the f32 inference convolution at stride 1, one sample
+// at a time, as an implicit GEMM. Each sample is copied into a
+// zero-padded (Cin, hp, wp) buffer, and the GEMM computes the output
+// over the padded width: outH*wp columns, column oy*wp+ox, where the
+// last wp-outW columns of each row are computed and never stored. B's
+// row p = (ci*K+ky)*K+kx, column j, is then padded[offs[p]+j] with
+// offs[p] = (ci*hp+ky)*wp+kx, so tensor.MatMulOffsetsInto reads B
+// straight from the padded sample, which stays in cache, and no im2col
+// runs. The epilogue adds the bias, then applies relu (if non-nil),
+// then a 2x2/stride-2 max pool (if pool; requires relu), writing the
+// final NCHW output. Samples fan across workers, each with its own
+// buffers.
 //
 // Bit-identity with Forward followed by the separate layers: every
 // output element sees the same products in the same k order (the GEMM
 // contract), then the same bias add, activation and max compares in
 // the same order as scatterOutput, LeakyReLU and MaxPool2D.Infer.
 func (c *Conv2D) inferTiled(x *tensor.Tensor, d convDims, relu *LeakyReLU, pool bool) (*tensor.Tensor, error) {
-	oHW := d.outH * d.outW
-	kk := c.InChannels * c.KernelSize * c.KernelSize
+	k := c.KernelSize
+	hp, wp := d.h+2*c.Pad, d.w+2*c.Pad
+	n := d.outH * wp
+	offs := make([]int, 0, c.InChannels*k*k)
+	for ci := 0; ci < c.InChannels; ci++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				offs = append(offs, (ci*hp+ky)*wp+kx)
+			}
+		}
+	}
+	// The last B row's columns run K-1 floats past the padded sample,
+	// and MatMulOffsetsInto reads each row in whole 8-float strips.
+	padLen := c.InChannels*hp*wp + k - 1 + 8
 	outH, outW := d.outH, d.outW
 	if pool {
 		outH, outW = outH/2, outW/2
@@ -191,44 +230,27 @@ func (c *Conv2D) inferTiled(x *tensor.Tensor, d convDims, relu *LeakyReLU, pool 
 	out := tensor.GetScratch(d.n, c.OutChannels, outH, outW)
 	inPer := c.InChannels * d.h * d.w
 	outPer := c.OutChannels * outH * outW
-	panelLen := (oHW + tensor.PackedStripWidth - 1) / tensor.PackedStripWidth * tensor.PackedStripWidth * kk
 	var (
 		mu      sync.Mutex
 		gemmErr error
 	)
-	parallelSamples(d.n, d.n*kk*oHW, func(s0, s1 int) {
-		panel := tensor.GetScratch(panelLen)
-		defer tensor.PutScratch(panel)
-		hp, wp := d.h+2*c.Pad, d.w+2*c.Pad
-		var padded *tensor.Tensor
-		if c.Pad > 0 {
-			padded = tensor.GetScratch(c.InChannels, hp, wp)
-			defer tensor.PutScratch(padded)
-		}
-		var gemm *tensor.Tensor
-		if pool {
-			gemm = tensor.GetScratch(c.OutChannels, oHW)
-			defer tensor.PutScratch(gemm)
-		}
+	parallelSamples(d.n, d.n*len(offs)*n, func(s0, s1 int) {
+		// The border and the slack are zeroed once; samples overwrite
+		// only the interior.
+		padded := tensor.GetScratch(padLen)
+		defer tensor.PutScratch(padded)
+		clear(padded.Data)
+		gemm := tensor.GetScratch(c.OutChannels, n)
+		defer tensor.PutScratch(gemm)
 		for s := s0; s < s1; s++ {
-			xs := x.Data[s*inPer : (s+1)*inPer]
-			if padded != nil {
-				padSample(padded.Data, xs, c.InChannels, c.Pad, d)
-				xs = padded.Data
-			}
-			im2colPacked(xs, panel.Data, c.InChannels, c.KernelSize, c.Stride, hp, wp, d)
-			dst := out.Data[s*outPer : (s+1)*outPer]
-			res := dst
-			if pool {
-				res = gemm.Data
-			}
-			if err := tensor.MatMulPackedBInto(res, c.weight.Value, panel.Data, oHW); err != nil {
+			padSample(padded.Data, x.Data[s*inPer:(s+1)*inPer], c.InChannels, c.Pad, d)
+			if err := tensor.MatMulOffsetsInto(gemm.Data, n, c.weight.Value, padded.Data, offs, n); err != nil {
 				mu.Lock()
 				gemmErr = err
 				mu.Unlock()
 				return
 			}
-			c.epilogue(dst, res, relu, pool, d)
+			c.epilogue(out.Data[s*outPer:(s+1)*outPer], gemm.Data, wp, relu, pool, d)
 		}
 	})
 	if gemmErr != nil {
@@ -238,23 +260,22 @@ func (c *Conv2D) inferTiled(x *tensor.Tensor, d convDims, relu *LeakyReLU, pool 
 	return out, nil
 }
 
-// epilogue finishes one sample: res holds its (OutC, outH*outW) GEMM
-// result, dst its NCHW output (the same slice unless pool). Each value
-// gets the channel bias, then relu if non-nil; with pool, each 2x2
-// window's four activated values are compared in the order
+// epilogue finishes one sample: res holds its (OutC, outH*wp) GEMM
+// result, output rows wp apart, and dst receives its NCHW output. Each
+// value gets the channel bias, then relu if non-nil; with pool, each
+// 2x2 window's four activated values are compared in the order
 // MaxPool2D.Infer uses (top-left, top-right, bottom-left, bottom-right).
-func (c *Conv2D) epilogue(dst, res []float32, relu *LeakyReLU, pool bool, d convDims) {
-	oHW := d.outH * d.outW
+func (c *Conv2D) epilogue(dst, res []float32, wp int, relu *LeakyReLU, pool bool, d convDims) {
+	n, oHW := d.outH*wp, d.outH*d.outW
 	for oc := 0; oc < c.OutChannels; oc++ {
 		bv := c.bias.Value.Data[oc]
-		src := res[oc*oHW : (oc+1)*oHW]
-		switch {
-		case pool:
+		src := res[oc*n : (oc+1)*n]
+		if pool {
 			pw := d.outW / 2
 			orow := dst[oc*(d.outH/2)*pw:]
 			for oy := 0; oy < d.outH/2; oy++ {
-				top := src[2*oy*d.outW : 2*oy*d.outW+2*pw]
-				bot := src[(2*oy+1)*d.outW : (2*oy+1)*d.outW+2*pw]
+				top := src[2*oy*wp : 2*oy*wp+2*pw]
+				bot := src[(2*oy+1)*wp : (2*oy+1)*wp+2*pw]
 				for ox := 0; ox < pw; ox++ {
 					best := relu.act(top[2*ox] + bv)
 					if v := relu.act(top[2*ox+1] + bv); v > best {
@@ -269,81 +290,34 @@ func (c *Conv2D) epilogue(dst, res []float32, relu *LeakyReLU, pool bool, d conv
 					orow[oy*pw+ox] = best
 				}
 			}
-		case relu != nil:
-			for i, v := range src {
-				src[i] = relu.act(v + bv)
-			}
-		default:
-			for i := range src {
-				src[i] += bv
+			continue
+		}
+		o := dst[oc*oHW : (oc+1)*oHW]
+		for oy := 0; oy < d.outH; oy++ {
+			row := src[oy*wp : oy*wp+d.outW]
+			orow := o[oy*d.outW : (oy+1)*d.outW]
+			if relu != nil {
+				for i, v := range row {
+					orow[i] = relu.act(v + bv)
+				}
+			} else {
+				for i, v := range row {
+					orow[i] = v + bv
+				}
 			}
 		}
 	}
 }
 
-// padSample copies one (Cin, H, W) sample into the centre of dst, a
-// (Cin, H+2*pad, W+2*pad) buffer whose border it zeroes, so im2col
-// reads need no bounds checks.
+// padSample copies one (Cin, H, W) sample into the interior of dst, a
+// zeroed (Cin, H+2*pad, W+2*pad) buffer. It never writes the border, so
+// the border stays zero from one sample to the next.
 func padSample(dst, xs []float32, inC, pad int, d convDims) {
-	clear(dst)
 	hp, wp := d.h+2*pad, d.w+2*pad
 	for ci := 0; ci < inC; ci++ {
 		for y := 0; y < d.h; y++ {
 			o := (ci*hp+y+pad)*wp + pad
 			copy(dst[o:o+d.w], xs[(ci*d.h+y)*d.w:(ci*d.h+y+1)*d.w])
-		}
-	}
-}
-
-// im2colPacked unrolls one zero-padded sample (Cin, hp, wp) straight
-// into the packed-B layout tensor.MatMulPackedBInto reads: entry (row r,
-// column j) of the (Cin*K*K, outH*outW) im2col matrix, with
-// r = (ci*K+ky)*K+kx and j = oy*outW+ox, lands in strip j/nr at offset
-// r*nr + j%nr, where nr is tensor.PackedStripWidth. The panel is written
-// strip by strip, in order. Every column below outH*outW is written, so
-// the panel may be dirty scratch; the lanes past the last column are
-// left as they are.
-func im2colPacked(xp, panel []float32, inC, k, stride, hp, wp int, d convDims) {
-	const nr = tensor.PackedStripWidth
-	kk := inC * k * k
-	oHW := d.outH * d.outW
-	for j0 := 0; j0 < oHW; j0 += nr {
-		strip := panel[j0*kk : (j0+nr)*kk]
-		oy, ox := j0/d.outW, j0%d.outW
-		if ox+nr <= d.outW {
-			// The strip lies in one output row: each of its rows is nr
-			// loads stride apart (one 4-wide copy at stride 1).
-			o := 0
-			for ci := 0; ci < inC; ci++ {
-				for ky := 0; ky < k; ky++ {
-					src := xp[(ci*hp+oy*stride+ky)*wp+ox*stride:]
-					for kx := 0; kx < k; kx++ {
-						dst := (*[nr]float32)(strip[o : o+nr])
-						if stride == 1 {
-							*dst = [nr]float32(src[kx : kx+nr])
-						} else {
-							for l := range dst {
-								dst[l] = src[kx+l*stride]
-							}
-						}
-						o += nr
-					}
-				}
-			}
-			continue
-		}
-		for l := 0; l < nr && j0+l < oHW; l++ {
-			oy, ox := (j0+l)/d.outW, (j0+l)%d.outW
-			o := l
-			for ci := 0; ci < inC; ci++ {
-				for ky := 0; ky < k; ky++ {
-					src := xp[(ci*hp+oy*stride+ky)*wp+ox*stride:]
-					for kx := 0; kx < k; kx++ {
-						strip[o] = src[kx]
-						o += nr
-					}
-				}
-			}
 		}
 	}
 }

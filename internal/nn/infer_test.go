@@ -90,6 +90,7 @@ func mustPool(t *testing.T, size, stride int) Layer {
 
 var inferCases = []inferCase{
 	{"conv_relu_pool_stack", 2, 10, 10, func(t *testing.T, _ *rand.Rand) []Layer { return testNet(t).Layers }, false},
+	// Stride 2 infers through the batched training kernels, unfused.
 	{"stride2_pad0", 2, 11, 11, func(t *testing.T, rng *rand.Rand) []Layer {
 		return []Layer{mustConv(t, rng, 2, 5, 3, 2, 0), mustReLU(t), mustPool(t, 2, 0)}
 	}, false},
@@ -105,6 +106,29 @@ var inferCases = []inferCase{
 	// last strip.
 	{"ragged_strips", 1, 7, 6, func(t *testing.T, rng *rand.Rand) []Layer {
 		return []Layer{mustConv(t, rng, 1, 4, 3, 1, 1), mustReLU(t), mustPool(t, 2, 0)}
+	}, false},
+	// 3x3 pad 0: the padded width is the input width (wp = w = 9), and
+	// the GEMM's last two columns of every row are never stored.
+	{"3x3_pad0", 2, 10, 9, func(t *testing.T, rng *rand.Rand) []Layer {
+		return []Layer{mustConv(t, rng, 2, 5, 3, 1, 0), mustReLU(t), mustPool(t, 2, 0)}
+	}, false},
+	// One input channel: the offset table is a single K x K window.
+	{"cin1", 1, 8, 8, func(t *testing.T, rng *rand.Rand) []Layer {
+		return []Layer{mustConv(t, rng, 1, 6, 3, 1, 1), mustReLU(t), mustPool(t, 2, 0)}
+	}, false},
+	// 5x5 pad 2: the last B row runs K-1 = 4 floats past the padded
+	// sample, into the K-1+8 slack.
+	{"5x5_pad2", 2, 9, 10, func(t *testing.T, rng *rand.Rand) []Layer {
+		return []Layer{mustConv(t, rng, 2, 4, 5, 1, 2), mustReLU(t), mustPool(t, 2, 0), mustConv(t, rng, 4, 3, 5, 1, 2)}
+	}, false},
+	// The 96 px and 48 px detectors' grid stages (refinement conv→
+	// LeakyReLU, 1x1 head) at outW = 12 and outW = 6: with wp = 14 and
+	// 8, 8-column strips straddle padded rows.
+	{"detector_96px_grid_outw12", 8, 12, 12, func(t *testing.T, rng *rand.Rand) []Layer {
+		return []Layer{mustConv(t, rng, 8, 8, 3, 1, 1), mustReLU(t), mustConv(t, rng, 8, 7, 1, 1, 0)}
+	}, false},
+	{"detector_48px_grid_outw6", 8, 6, 6, func(t *testing.T, rng *rand.Rand) []Layer {
+		return []Layer{mustConv(t, rng, 8, 8, 3, 1, 1), mustReLU(t), mustConv(t, rng, 8, 7, 1, 1, 0)}
 	}, false},
 	// The detector neck: conv→LeakyReLU with no pool, then a 1x1 head.
 	{"conv_relu_no_pool", 3, 8, 8, func(t *testing.T, rng *rand.Rand) []Layer {

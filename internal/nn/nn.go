@@ -1,9 +1,10 @@
 // Package nn is a compact neural-network layer library with hand-written
 // backpropagation: 2-D convolution (batched im2col + one GEMM per batch
-// for training, sample-tiled and fused with the following activation and
-// pooling for inference),
-// max pooling, ReLU-family activations, fully connected layers, binary
-// cross-entropy and mean-squared-error losses, and SGD/Adam optimizers.
+// for training; for inference, a per-sample implicit GEMM that reads
+// the zero-padded sample in place, fused with the following activation
+// and pooling), max pooling, ReLU-family activations, fully connected
+// layers, binary cross-entropy and mean-squared-error losses, and
+// SGD/Adam optimizers.
 // It is the training substrate for the YOLO-style detector standing in
 // for the paper's YOLOv11-Nano baseline. Every layer's analytic gradient
 // is verified against central differences in the tests.

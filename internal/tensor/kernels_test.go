@@ -285,14 +285,32 @@ func TestIntoValidation(t *testing.T) {
 	if err := MatMulTransBInto(MustNew(2, 2), a, MustNew(4, 3)); err == nil {
 		t.Error("TransB wrong dst shape accepted")
 	}
-	bp := make([]float32, 3*4)
-	if err := MatMulPackedBInto(make([]float32, 7), a, bp, 4); err == nil {
-		t.Error("PackedB short dst accepted")
+	// MatMulOffsetsInto: A 2x3, n = 4, so each B row needs 8 floats.
+	// The assembly kernels read b and write dst unchecked, so every
+	// shape rule must be an error.
+	ob := make([]float32, 3*8)
+	offs := []int{0, 8, 16}
+	if err := MatMulOffsetsInto(make([]float32, 8), 4, a, ob, offs, 4); err != nil {
+		t.Fatalf("Offsets valid call rejected: %v", err)
 	}
-	if err := MatMulPackedBInto(make([]float32, 8), a, bp[:11], 4); err == nil {
-		t.Error("PackedB short packed B accepted")
-	}
-	if err := MatMulPackedBInto(make([]float32, 8), MustNew(6), bp, 4); err == nil {
-		t.Error("PackedB 1-D A accepted")
+	for _, tc := range []struct {
+		name string
+		dst  []float32
+		ldc  int
+		a    *Tensor
+		offs []int
+		n    int
+	}{
+		{"1-D A", make([]float32, 8), 4, MustNew(6), offs, 4},
+		{"n = 0", make([]float32, 8), 4, a, offs, 0},
+		{"len(offs) != k", make([]float32, 8), 4, a, offs[:2], 4},
+		{"negative offset", make([]float32, 8), 4, a, []int{0, -1, 16}, 4},
+		{"row past the end of b", make([]float32, 8), 4, a, []int{0, 8, 17}, 4},
+		{"ldc < n", make([]float32, 8), 3, a, offs, 4},
+		{"short dst", make([]float32, 7), 4, a, offs, 4},
+	} {
+		if err := MatMulOffsetsInto(tc.dst, tc.ldc, tc.a, ob, tc.offs, tc.n); err == nil {
+			t.Errorf("Offsets %s accepted", tc.name)
+		}
 	}
 }

@@ -1,33 +1,43 @@
 package tensor
 
-import (
-	"fmt"
-	"sync"
-	"time"
-)
+import "fmt"
 
 // Cache-tiled packed GEMM. The three public MatMul*Into kernels route
 // large problems here: A and B panels are repacked into contiguous
-// microkernel-order buffers sized to the cache blocking chosen by a
-// one-shot runtime probe, and an MRxNR register-blocked microkernel
-// walks the packed strips. Packing buffers cycle through a dedicated
-// panel pool (see panelbuf.go), so steady-state GEMMs allocate nothing.
+// microkernel-order buffers sized to fixed cache blocks, and a 4x8
+// register-blocked microkernel walks the packed strips. The same
+// microkernel serves MatMulOffsetsInto, whose B is never packed: the
+// kernel reads row p of a B strip at strip+offs[p], so a packed panel
+// passes the linear table p*fNR and an implicit-GEMM convolution passes
+// the offsets of its kernel taps in the zero-padded sample. Packing
+// buffers cycle through a dedicated panel pool (see panelbuf.go), so
+// steady-state GEMMs allocate nothing.
+//
+// The microkernel ships three ways, chosen once at start-up (see
+// activeKernel): AVX assembly on YMM registers, SSE assembly on XMM
+// registers for amd64 hosts without AVX, and portable Go, which is the
+// reference and the kernel on other architectures. All three use a
+// separate multiply and add per product, never FMA.
 //
 // Bit-identity discipline (the contract shared with matmul.go): every
 // output element owns a single running sum that accumulates its products
 // in ascending shared-dimension order. The microkernel loads that sum
 // from C into a register at the start of each K block, adds the block's
 // products one at a time in p order, and stores it back — the same
-// floating-point op sequence as the reference triple loop, so packing
-// and tiling change memory traffic but never results. Ragged tiles are
-// zero-padded in the packed panels; a padded lane only ever adds ±0 to a
-// +0 accumulator that is never stored, so padding is unobservable.
+// floating-point op sequence as the reference triple loop, so packing,
+// tiling and the choice of kernel change memory traffic but never
+// results. Ragged tiles run on a zero-initialised scratch tile: a padded
+// lane only ever accumulates into a sum that is never stored, so padding
+// is unobservable.
 
 const (
-	// gemmMR x gemmNR is the microkernel tile: gemmMR*gemmNR running
-	// sums held in registers while one packed K block streams through.
+	// gemmMR is the row count of both microkernels' register tiles.
 	gemmMR = 4
+	// gemmNR is the column width of the int8 microkernel (quant.go).
 	gemmNR = 4
+	// fNR is the column width of the f32 microkernel: gemmMR x fNR
+	// running sums stay in registers while one K block streams through.
+	fNR = 8
 
 	// packedMinFlops is the M*N*K volume below which the register-blocked
 	// streaming kernels in matmul.go win (packing cost is not amortized).
@@ -39,72 +49,31 @@ const (
 )
 
 // gemmBlocks are the cache-blocking sizes: the packed A panel is mc x kc
-// (sized for L1), the packed B panel kc x nc (sized for L2).
+// (sized for L1), the packed B panel kc x nc (sized for L2). mc is a
+// multiple of gemmMR and nc of fNR, so full panels have no ragged
+// strips.
 type gemmBlocks struct{ mc, kc, nc int }
 
-// blockCandidates are the probe's menu. mc is a multiple of gemmMR and
-// nc of gemmNR so full panels have no ragged strips; kc trades K-loop
-// amortization against panel footprint (mc*kc floats should sit in L1).
-var blockCandidates = []gemmBlocks{
-	{mc: 64, kc: 128, nc: 256},
-	{mc: 32, kc: 256, nc: 256},
-	{mc: 128, kc: 128, nc: 256},
-	{mc: 64, kc: 256, nc: 128},
-}
+// blocks is the blocking every f32 GEMM uses. It is a constant choice
+// because every blocking gives bit-identical results: choosing per
+// process could only make speed vary between processes.
+var blocks = gemmBlocks{mc: 32, kc: 256, nc: 256}
 
-var (
-	blockOnce   sync.Once
-	chosenBlock gemmBlocks
-)
-
-// gemmBlockSizes returns the process-wide blocking, probing once. The
-// probe times a small packed GEMM per candidate and keeps the fastest —
-// a few milliseconds, paid on the first large multiply. Block choice
-// affects speed only, never results, so a noisy probe is harmless.
-func gemmBlockSizes() gemmBlocks {
-	blockOnce.Do(func() {
-		chosenBlock = probeBlocks()
-	})
-	return chosenBlock
-}
-
-// GEMMBlocks reports the cache-blocking sizes the packed kernels are
-// using (probing on first call): the mc x kc A panel, kc x nc B panel.
+// GEMMBlocks reports the cache-blocking sizes the packed kernels use:
+// the mc x kc A panel and the kc x nc B panel.
 func GEMMBlocks() (mc, kc, nc int) {
-	b := gemmBlockSizes()
-	return b.mc, b.kc, b.nc
+	return blocks.mc, blocks.kc, blocks.nc
 }
 
-// probeBlocks times one mid-sized packed multiply per candidate.
-func probeBlocks() gemmBlocks {
-	const probeDim = 160
-	a := MustNew(probeDim, probeDim)
-	b := MustNew(probeDim, probeDim)
-	dst := MustNew(probeDim, probeDim)
-	for i := range a.Data {
-		a.Data[i] = float32(i%17) * 0.25
-		b.Data[i] = float32(i%11) * 0.5
+// linearOffs is the offset table of a packed B strip, whose rows lie
+// fNR floats apart: linearOffs[p] = p*fNR, long enough for any K block.
+var linearOffs = func() []int {
+	offs := make([]int, blocks.kc)
+	for p := range offs {
+		offs[p] = p * fNR
 	}
-	best := blockCandidates[0]
-	bestTime := time.Duration(1<<63 - 1)
-	for _, cand := range blockCandidates {
-		// One warm-up fills the panel pool so every candidate pays the
-		// same allocation cost; then time the better of two runs.
-		packedSerial(dst, a, b, 0, probeDim, cand, false, false)
-		elapsed := time.Duration(1<<63 - 1)
-		for rep := 0; rep < 2; rep++ {
-			start := time.Now()
-			packedSerial(dst, a, b, 0, probeDim, cand, false, false)
-			if d := time.Since(start); d < elapsed {
-				elapsed = d
-			}
-		}
-		if elapsed < bestTime {
-			bestTime, best = elapsed, cand
-		}
-	}
-	return best
-}
+	return offs
+}()
 
 // usePacked decides kernel routing from shape alone (deterministic; both
 // paths are bit-identical, so this is purely a performance choice).
@@ -117,9 +86,8 @@ func usePacked(m, n, k int) bool {
 // across GOMAXPROCS workers. A is m x k after transA, B is k x n after
 // transB, dst is m x n and is fully overwritten.
 func matMulPacked(dst, a, b *Tensor, m, n, k int, transA, transB bool) {
-	bs := gemmBlockSizes()
 	parallelRowsAligned(m, m*n*k, gemmMR, func(r0, r1 int) {
-		packedSerial(dst, a, b, r0, r1, bs, transA, transB)
+		packedSerial(dst, a, b, r0, r1, blocks, transA, transB)
 	})
 }
 
@@ -151,25 +119,13 @@ func packedSerial(dst, a, b *Tensor, r0, r1 int, bs gemmBlocks, transA, transB b
 	} else {
 		k = a.Shape[1]
 	}
-	seg := dst.Data[r0*n : r1*n]
-	for i := range seg {
-		seg[i] = 0
-	}
+	clear(dst.Data[r0*n : r1*n])
 	if k == 0 {
 		return
 	}
-	mc, kc, nc := bs.mc, bs.kc, bs.nc
-	if mc > m {
-		mc = roundUp(m, gemmMR)
-	}
-	if kc > k {
-		kc = k
-	}
-	if nc > n {
-		nc = roundUp(n, gemmNR)
-	}
+	mc, kc, nc := min(bs.mc, roundUp(m, gemmMR)), min(bs.kc, k), min(bs.nc, roundUp(n, fNR))
 	apBox := getPanel(mc * kc)
-	bpBox := getPanel(roundUp(nc, gemmNR) * kc)
+	bpBox := getPanel(nc * kc)
 	defer putPanel(apBox)
 	defer putPanel(bpBox)
 	ap, bp := apBox.buf, bpBox.buf
@@ -189,72 +145,93 @@ func packedSerial(dst, a, b *Tensor, r0, r1 int, bs gemmBlocks, transA, transB b
 				} else {
 					packANormal(ap, a, ic, mcEff, pc, kcEff)
 				}
-				packedCompute(dst.Data, ic, jc, n, ap, bp, gemmNR*kcEff, mcEff, ncEff, kcEff)
+				packedCompute(dst.Data, ic, jc, n, ap, bp, fNR*kcEff, linearOffs[:kcEff], mcEff, ncEff)
 			}
 		}
 	}
 }
 
-// packedCompute sweeps the microkernel over one packed A panel x packed
-// B panel pair, accumulating into the row-major C (row stride ldc).
-// Consecutive B strips start bstride floats apart; each strip's kc rows
-// are contiguous from its start.
-func packedCompute(c []float32, ic, jc, ldc int, ap, bp []float32, bstride, mc, nc, kc int) {
-	for jr := 0; jr < nc; jr += gemmNR {
-		cols := min(gemmNR, nc-jr)
-		bstrip := bp[(jr/gemmNR)*bstride:]
+// packedCompute sweeps the microkernel over one packed A panel (mc rows,
+// len(offs) k steps) and the nc columns of B, accumulating into the
+// row-major C (row stride ldc) at row ic, column jc. B strip s (columns
+// s*fNR..) starts at b[s*bstride], and its row p at offs[p] from there.
+func packedCompute(c []float32, ic, jc, ldc int, ap, b []float32, bstride int, offs []int, mc, nc int) {
+	kc := len(offs)
+	for jr := 0; jr < nc; jr += fNR {
+		cols := min(fNR, nc-jr)
+		strip := b[(jr/fNR)*bstride:]
 		for ir := 0; ir < mc; ir += gemmMR {
 			rows := min(gemmMR, mc-ir)
 			astrip := ap[(ir/gemmMR)*gemmMR*kc:]
 			cbase := (ic+ir)*ldc + jc + jr
-			if rows == gemmMR && cols == gemmNR {
-				microKernel4x4(c[cbase:], ldc, astrip, bstrip, kc)
-			} else {
-				microKernelEdge(c[cbase:], ldc, astrip, bstrip, kc, rows, cols)
+			if rows == gemmMR && cols == fNR {
+				microKernel(c[cbase:], ldc, astrip, strip, offs)
+				continue
+			}
+			// Ragged tile: run the full kernel on a scratch tile that
+			// holds the valid running sums, then store only those.
+			var tile [gemmMR * fNR]float32
+			for r := 0; r < rows; r++ {
+				copy(tile[r*fNR:r*fNR+cols], c[cbase+r*ldc:])
+			}
+			microKernel(tile[:], fNR, astrip, strip, offs)
+			for r := 0; r < rows; r++ {
+				copy(c[cbase+r*ldc:cbase+r*ldc+cols], tile[r*fNR:])
 			}
 		}
 	}
 }
 
-// PackedStripWidth is the column width of one strip of the packed B
-// operand MatMulPackedBInto consumes.
-const PackedStripWidth = gemmNR
-
-// MatMulPackedBInto computes dst = A·B on the calling goroutine for a B
-// the caller has already written in packed form, so no packing pass
-// runs over B. A is m x k; dst receives the m x n product row-major and
-// must hold at least m*n elements (all of which are overwritten). bp
-// holds B (k x n) as ceil(n/PackedStripWidth) strips of
-// PackedStripWidth columns, each k-major: B[p][j] sits at
-// bp[(j/PackedStripWidth)*PackedStripWidth*k + p*PackedStripWidth +
-// j%PackedStripWidth]. Lanes past n in the last strip are multiplied
-// but never stored, so their contents do not matter. The result is
-// bit-identical to MatMulInto on the unpacked B.
-func MatMulPackedBInto(dst []float32, a *Tensor, bp []float32, n int) error {
+// MatMulOffsetsInto computes dst[i*ldc+j] = Σ_p A[i][p]·b[offs[p]+j]
+// for i < m, j < n on the calling goroutine: row p of the logical k x n
+// B is the n floats of b starting at offs[p]. Rows may overlap, so a
+// convolution passes the zero-padded input sample as b and the offset
+// of each kernel tap as offs, and multiplies without unrolling the
+// sample (an implicit GEMM). A is m x k and len(offs) must be k. The
+// kernel reads fNR-wide strips, so every row needs roundUp(n, 8) floats
+// of b from its offset on: the lanes past n are multiplied but never
+// stored, so their contents do not matter. dst rows are ldc apart
+// (ldc >= n); only their first n elements are written. The result is
+// bit-identical to MatMulInto on the materialized B.
+func MatMulOffsetsInto(dst []float32, ldc int, a *Tensor, b []float32, offs []int, n int) error {
 	if len(a.Shape) != 2 {
-		return fmt.Errorf("tensor: MatMulPackedB needs a 2-D A, got %v", a.Shape)
+		return fmt.Errorf("tensor: MatMulOffsets needs a 2-D A, got %v", a.Shape)
 	}
 	m, k := a.Shape[0], a.Shape[1]
 	if n <= 0 {
-		return fmt.Errorf("tensor: MatMulPackedB needs n > 0, got %d", n)
+		return fmt.Errorf("tensor: MatMulOffsets needs n > 0, got %d", n)
 	}
-	if len(dst) < m*n {
-		return fmt.Errorf("tensor: MatMulPackedB dst holds %d elements, want %d", len(dst), m*n)
+	if len(offs) != k {
+		return fmt.Errorf("tensor: MatMulOffsets has %d offsets for inner dim %d", len(offs), k)
 	}
-	if want := roundUp(n, gemmNR) * k; len(bp) < want {
-		return fmt.Errorf("tensor: MatMulPackedB packed B holds %d elements, want %d", len(bp), want)
+	span := roundUp(n, fNR)
+	for p, o := range offs {
+		if o < 0 || o > len(b)-span {
+			return fmt.Errorf("tensor: MatMulOffsets row %d at offset %d needs b[%d:%d], b holds %d", p, o, o, o+span, len(b))
+		}
+	}
+	if ldc < n {
+		return fmt.Errorf("tensor: MatMulOffsets ldc %d < n %d", ldc, n)
+	}
+	if want := (m-1)*ldc + n; len(dst) < want {
+		return fmt.Errorf("tensor: MatMulOffsets dst holds %d elements, want %d", len(dst), want)
 	}
 	statGEMMCalls.Add(1)
-	packedBSerial(dst[:m*n], a, bp, n, gemmBlockSizes())
+	offsetsSerial(dst, ldc, a, b, offs, n, blocks)
 	return nil
 }
 
-// packedBSerial is packedSerial's loop nest for a pre-packed, full-K B:
-// pc (K blocks, ascending) → ic (M blocks) → pack A → microkernel sweep
-// over every strip, each read from its row pc onward.
-func packedBSerial(dst []float32, a *Tensor, bp []float32, n int, bs gemmBlocks) {
+// offsetsSerial is the loop nest behind MatMulOffsetsInto: pc (K
+// blocks, ascending) → ic (M blocks) → pack A → microkernel sweep over
+// every fNR-column strip of B, strip s starting at b[s*fNR].
+func offsetsSerial(dst []float32, ldc int, a *Tensor, b []float32, offs []int, n int, bs gemmBlocks) {
 	m, k := a.Shape[0], a.Shape[1]
-	clear(dst)
+	for i := 0; i < m; i++ {
+		clear(dst[i*ldc : i*ldc+n])
+	}
+	if k == 0 {
+		return
+	}
 	mc, kc := min(bs.mc, roundUp(m, gemmMR)), min(bs.kc, k)
 	apBox := getPanel(mc * kc)
 	defer putPanel(apBox)
@@ -263,85 +240,55 @@ func packedBSerial(dst []float32, a *Tensor, bp []float32, n int, bs gemmBlocks)
 		for ic := 0; ic < m; ic += mc {
 			mcEff := min(mc, m-ic)
 			packANormal(apBox.buf, a, ic, mcEff, pc, kcEff)
-			packedCompute(dst, ic, 0, n, apBox.buf, bp[pc*gemmNR:], gemmNR*k, mcEff, n, kcEff)
+			packedCompute(dst, ic, 0, ldc, apBox.buf, b, fNR, offs[pc:pc+kcEff], mcEff, n)
 		}
 	}
 }
 
-// microKernel4x4Go is the portable register-blocked core: 16 running
-// sums accumulate while one packed K block streams through. ap holds
-// gemmMR A values per k step, bp gemmNR B values per k step, both
-// contiguous; fixed-width slicing drops bounds checks. On amd64 the
-// SSE kernel in pack_amd64.s replaces it (same op-for-op float
-// sequence, so the two are bit-identical — see the property tests);
-// this version remains the reference and the non-amd64 implementation.
-func microKernel4x4Go(c []float32, ldc int, ap, bp []float32, kc int) {
-	c0 := c[0*ldc : 0*ldc+4 : 0*ldc+4]
-	c1 := c[1*ldc : 1*ldc+4 : 1*ldc+4]
-	c2 := c[2*ldc : 2*ldc+4 : 2*ldc+4]
-	c3 := c[3*ldc : 3*ldc+4 : 3*ldc+4]
-	c00, c01, c02, c03 := c0[0], c0[1], c0[2], c0[3]
-	c10, c11, c12, c13 := c1[0], c1[1], c1[2], c1[3]
-	c20, c21, c22, c23 := c2[0], c2[1], c2[2], c2[3]
-	c30, c31, c32, c33 := c3[0], c3[1], c3[2], c3[3]
-	ap = ap[: 4*kc : 4*kc]
-	bp = bp[: 4*kc : 4*kc]
-	for p := 0; p < kc; p++ {
-		a := ap[4*p : 4*p+4 : 4*p+4]
-		bv := bp[4*p : 4*p+4 : 4*p+4]
-		b0, b1, b2, b3 := bv[0], bv[1], bv[2], bv[3]
-		a0 := a[0]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		a1 := a[1]
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		a2 := a[2]
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c22 += a2 * b2
-		c23 += a2 * b3
-		a3 := a[3]
-		c30 += a3 * b0
-		c31 += a3 * b1
-		c32 += a3 * b2
-		c33 += a3 * b3
-	}
-	c0[0], c0[1], c0[2], c0[3] = c00, c01, c02, c03
-	c1[0], c1[1], c1[2], c1[3] = c10, c11, c12, c13
-	c2[0], c2[1], c2[2], c2[3] = c20, c21, c22, c23
-	c3[0], c3[1], c3[2], c3[3] = c30, c31, c32, c33
+// f32Kernel names one implementation of the 4x8 f32 microkernel.
+type f32Kernel uint8
+
+const (
+	kernelGo f32Kernel = iota
+	kernelSSE
+	kernelAVX
+)
+
+func (k f32Kernel) String() string {
+	return [...]string{"go", "sse", "avx"}[k]
 }
 
-// microKernelEdge handles ragged tiles (rows < gemmMR or cols < gemmNR):
-// valid lanes load their running sum from C, padded lanes run on zeros
-// and are never stored back.
-func microKernelEdge(c []float32, ldc int, ap, bp []float32, kc, rows, cols int) {
-	var acc [gemmMR][gemmNR]float32
-	for r := 0; r < rows; r++ {
-		for j := 0; j < cols; j++ {
-			acc[r][j] = c[r*ldc+j]
-		}
+// activeKernel is the microkernel every f32 GEMM runs: the last, and
+// fastest, of availableKernels(), fixed at start-up. The kernels are
+// bit-identical, so the choice changes speed only; tests set it to run
+// their suites once per kernel.
+var activeKernel = func() f32Kernel {
+	ks := availableKernels()
+	return ks[len(ks)-1]
+}()
+
+// microKernel4x8Go is the portable microkernel and the reference the
+// assembly kernels are tested against. For each k step p it multiplies
+// the gemmMR packed A values ap[p*gemmMR:] by the fNR B values at
+// b[offs[p]:] and adds each product to its running sum, in ascending p;
+// the gemmMR x fNR sums are loaded from and stored to c (row stride ldc).
+func microKernel4x8Go(c []float32, ldc int, ap, b []float32, offs []int) {
+	var acc [gemmMR][fNR]float32
+	for r := range acc {
+		acc[r] = [fNR]float32(c[r*ldc : r*ldc+fNR])
 	}
-	for p := 0; p < kc; p++ {
-		a := ap[4*p : 4*p+4 : 4*p+4]
-		bv := bp[4*p : 4*p+4 : 4*p+4]
-		for r := 0; r < gemmMR; r++ {
+	for p, o := range offs {
+		bv := (*[fNR]float32)(b[o : o+fNR])
+		a := (*[gemmMR]float32)(ap[p*gemmMR : p*gemmMR+gemmMR])
+		for r := range acc {
 			ar := a[r]
-			acc[r][0] += ar * bv[0]
-			acc[r][1] += ar * bv[1]
-			acc[r][2] += ar * bv[2]
-			acc[r][3] += ar * bv[3]
+			for j := range bv {
+				acc[r][j] += ar * bv[j]
+			}
 		}
 	}
-	for r := 0; r < rows; r++ {
-		for j := 0; j < cols; j++ {
-			c[r*ldc+j] = acc[r][j]
-		}
+	for r := range acc {
+		copy(c[r*ldc:r*ldc+fNR], acc[r][:])
 	}
 }
 
@@ -395,23 +342,23 @@ func packATrans(dst []float32, a *Tensor, i0, mc, p0, kc int) {
 }
 
 // packBNormal packs rows [p0,p0+kc) x cols [j0,j0+nc) of row-major B
-// (ldb = B.Shape[1]) into gemmNR-column strips, k-major.
+// (ldb = B.Shape[1]) into fNR-column strips, k-major.
 func packBNormal(dst []float32, b *Tensor, p0, kc, j0, nc int) {
 	ldb := b.Shape[1]
 	di := 0
-	for jr := 0; jr < nc; jr += gemmNR {
-		cols := min(gemmNR, nc-jr)
+	for jr := 0; jr < nc; jr += fNR {
+		cols := min(fNR, nc-jr)
 		for p := 0; p < kc; p++ {
 			src := b.Data[(p0+p)*ldb+j0+jr : (p0+p)*ldb+j0+jr+cols]
-			d := di + p*gemmNR
+			d := di + p*fNR
 			for j, v := range src {
 				dst[d+j] = v
 			}
-			for j := cols; j < gemmNR; j++ {
+			for j := cols; j < fNR; j++ {
 				dst[d+j] = 0
 			}
 		}
-		di += gemmNR * kc
+		di += fNR * kc
 	}
 }
 
@@ -421,22 +368,22 @@ func packBNormal(dst []float32, b *Tensor, p0, kc, j0, nc int) {
 func packBTrans(dst []float32, b *Tensor, p0, kc, j0, nc int) {
 	ldb := b.Shape[1]
 	di := 0
-	for jr := 0; jr < nc; jr += gemmNR {
-		cols := min(gemmNR, nc-jr)
+	for jr := 0; jr < nc; jr += fNR {
+		cols := min(fNR, nc-jr)
 		for jj := 0; jj < cols; jj++ {
 			src := b.Data[(j0+jr+jj)*ldb+p0 : (j0+jr+jj)*ldb+p0+kc]
 			d := di + jj
 			for p, v := range src {
-				dst[d+p*gemmNR] = v
+				dst[d+p*fNR] = v
 			}
 		}
-		for jj := cols; jj < gemmNR; jj++ {
+		for jj := cols; jj < fNR; jj++ {
 			d := di + jj
 			for p := 0; p < kc; p++ {
-				dst[d+p*gemmNR] = 0
+				dst[d+p*fNR] = 0
 			}
 		}
-		di += gemmNR * kc
+		di += fNR * kc
 	}
 }
 

@@ -2,6 +2,8 @@
 
 package tensor
 
-func microKernel4x4(c []float32, ldc int, ap, bp []float32, kc int) {
-	microKernel4x4Go(c, ldc, ap, bp, kc)
+func availableKernels() []f32Kernel { return []f32Kernel{kernelGo} }
+
+func microKernel(c []float32, ldc int, ap, b []float32, offs []int) {
+	microKernel4x8Go(c, ldc, ap, b, offs)
 }
